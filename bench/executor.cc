@@ -127,8 +127,8 @@ runLockstepUnit(const std::vector<PlanPoint> &misses,
     // Which follower pass the batch took (win/simd.h): the counter
     // records the widest tier any batch used this session, the ring
     // event every batch's tier and width. The driver reports the pass
-    // it dispatched, not the ambient tier — under `auto` the sharing
-    // schemes pin to the scalar per-lane oracle and must not claim a
+    // it dispatched, not the ambient tier — the sharing schemes
+    // always take the scalar per-lane pass and must not claim a
     // vector pass.
     const SimdTier tier = driver.simdPath();
     counterAtLeast("replay.simd_path",
@@ -254,9 +254,9 @@ executePoints(const std::vector<PlanPoint> &points)
     // (trace/replay_batch.h) — a cold fig11+fig12+fig13 run walks
     // each trace once per scheme instead of once per point. The
     // per-point path remains for width-1 groups, invariant-checking
-    // points, trace-recording runs (the timeline observer is
-    // per-point only), and when CRW_REPLAY_BATCH=0 or
-    // CRW_REPLAY_FAST=0 pins it off.
+    // points and trace-recording runs (those two replay on the
+    // oracle loop), and when CRW_REPLAY_BATCH=0 or CRW_REPLAY_FAST=0
+    // pins it off.
     const std::size_t cap = replayBatchCap();
     const bool batching =
         cap > 1 && fastReplayEnabled() && !traceRequested();

@@ -1,22 +1,24 @@
 /**
  * @file
  * Host-side throughput of the replay layer: events per second of the
- * devirtualized flat-trace fast path (DESIGN.md §12) against the
- * legacy cursor-walking virtual-dispatch loop, on the high/fine
- * behavior the figure sweeps hammer hardest.
+ * production replay — the devirtualized flat-trace lockstep loop at
+ * width one, what a default ReplayDriver runs (DESIGN.md §12) —
+ * against the legacy cursor-walking virtual-dispatch loop, on the
+ * high/fine behavior the figure sweeps hammer hardest.
  *
  * One behavior trace is captured (or loaded from the disk cache) and
  * predecoded once; each scheme point then replays it repeatedly on
- * fresh drivers, legacy and fast interleaved, --reps samples per mode
- * with the fastest kept (the minimum is the standard estimator for
+ * fresh drivers, legacy and production interleaved, --reps samples
+ * per mode with the fastest kept (the minimum is the standard
+ * estimator for
  * the noise-free run time on a shared machine). Every rep's
  * RunMetrics must be bit-identical across the two paths — that is the
  * oracle contract the differential suite enforces; here it doubles as
  * a sanity gate — so the only thing allowed to differ is wall time.
  *
- * Output: an aligned table (Mev/s legacy / Mev/s fast / speedup), a
- * CSV under bench_out/, and optionally a machine-readable JSON summary
- * (--json=PATH, --git-sha=SHA) for scripts/bench_perf.sh.
+ * Output: an aligned table (Mev/s legacy / Mev/s production /
+ * speedup), a CSV under bench_out/, and optionally a machine-readable
+ * JSON summary (--json=PATH, --git-sha=SHA) for scripts/bench_perf.sh.
  *
  * Host-perf, not a paper result: registered so `crw-bench
  * replay-throughput` works, but excluded from `crw-bench all` and
@@ -73,8 +75,6 @@ timedReplay(const EventTrace &trace, const FlatTrace &flat,
                     ? static_cast<double>(trace.eventCount()) /
                           res.wall_s / 1e6
                     : 0;
-    if (path == ReplayPath::Fast)
-        crw_assert(driver.usedFastPath());
     return res;
 }
 
@@ -116,62 +116,62 @@ runReplayThroughput(const FlagSet &flags)
     const std::vector<SchemeKind> schemes = {
         SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP};
 
-    banner("Replay throughput: devirtualized flat fast path vs "
-           "legacy virtual-dispatch loop");
+    banner("Replay throughput: devirtualized flat production path "
+           "vs legacy virtual-dispatch loop");
     std::cout << "  behavior high/fine, " << trace.eventCount()
               << " events, w" << windows << ", fifo, best of "
               << reps << "\n\n";
 
-    Table table({"scheme", "events", "Mev/s legacy", "Mev/s fast",
-                 "speedup"});
+    Table table({"scheme", "events", "Mev/s legacy",
+                 "Mev/s production", "speedup"});
     double total_events = 0, total_wall_legacy = 0,
-           total_wall_fast = 0;
+           total_wall_prod = 0;
     bool ok = true;
     std::vector<std::string> json_rows;
     for (const SchemeKind scheme : schemes) {
         EngineConfig engine;
         engine.scheme = scheme;
         engine.numWindows = windows;
-        ModeResult legacy, fast;
+        ModeResult legacy, prod;
         for (int rep = 0; rep < reps; ++rep) {
             const ModeResult l =
                 timedReplay(trace, flat, engine, ReplayPath::Legacy);
             const ModeResult f =
-                timedReplay(trace, flat, engine, ReplayPath::Fast);
+                timedReplay(trace, flat, engine, ReplayPath::Auto);
             if (!metricsBitIdentical(l.metrics, f.metrics)) {
                 ok = false;
                 std::cout << "  [FAIL] " << schemeName(scheme)
-                          << ": fast-path metrics diverged from "
+                          << ": production metrics diverged from "
                              "the legacy oracle\n";
             }
             if (rep == 0 || l.wall_s < legacy.wall_s)
                 legacy = l;
-            if (rep == 0 || f.wall_s < fast.wall_s)
-                fast = f;
+            if (rep == 0 || f.wall_s < prod.wall_s)
+                prod = f;
         }
-        const double speedup = legacy.wall_s > 0 && fast.wall_s > 0
-                                   ? legacy.wall_s / fast.wall_s
+        const double speedup = legacy.wall_s > 0 && prod.wall_s > 0
+                                   ? legacy.wall_s / prod.wall_s
                                    : 0;
         total_events += static_cast<double>(trace.eventCount());
         total_wall_legacy += legacy.wall_s;
-        total_wall_fast += fast.wall_s;
-        char legacy_mevps[32], fast_mevps[32], speedup_s[32];
+        total_wall_prod += prod.wall_s;
+        char legacy_mevps[32], prod_mevps[32], speedup_s[32];
         std::snprintf(legacy_mevps, sizeof legacy_mevps, "%.1f",
                       legacy.mevps);
-        std::snprintf(fast_mevps, sizeof fast_mevps, "%.1f",
-                      fast.mevps);
+        std::snprintf(prod_mevps, sizeof prod_mevps, "%.1f",
+                      prod.mevps);
         std::snprintf(speedup_s, sizeof speedup_s, "%.2fx",
                       speedup);
         table.addRowOf(std::string(schemeName(scheme)),
                        trace.eventCount(),
                        std::string(legacy_mevps),
-                       std::string(fast_mevps),
+                       std::string(prod_mevps),
                        std::string(speedup_s));
         json_rows.push_back(
             std::string("    {\"scheme\": \"") + schemeName(scheme) +
             "\", \"events\": " + std::to_string(trace.eventCount()) +
             ", \"mevps_legacy\": " + std::string(legacy_mevps) +
-            ", \"mevps_fast\": " + std::string(fast_mevps) +
+            ", \"mevps_fast\": " + std::string(prod_mevps) +
             ", \"speedup\": " + std::to_string(speedup) + "}");
     }
     table.printText(std::cout);
@@ -180,22 +180,23 @@ runReplayThroughput(const FlagSet &flags)
     // Aggregate mode: the batched lockstep loop (DESIGN.md §14)
     // drives the whole default window sweep of each scheme — one
     // forward pass over the trace advancing all lanes — against the
-    // per-point fast path replaying the same sweep one driver at a
-    // time. Aggregate Mev/s counts lanes × events per wall second:
-    // the number a cold figure sweep actually experiences. (Variant
-    // lanes — PRW reclamation, FreeSearch allocation — batch just as
-    // well but are deliberately left out of the measured batch: a
-    // FreeSearch lane's per-op cost is higher, which *dilutes* the
-    // ratio against the per-point baseline without changing the
-    // absolute win, so the windows-only sweep is the cleaner number.)
-    // Each scheme's sweep is timed three ways per rep: the per-point
-    // fast path (one driver per lane), the batched loop with the
-    // follower replay pinned to the PR 7 per-lane scalar oracle, and
-    // the batched loop under the session's effective SIMD dispatch
-    // (win/simd.h) — deliberately NOT a forced tier, so the sharing
-    // schemes route exactly as a figure sweep would (under `auto`
-    // their slot-map lanes pin to the oracle; DESIGN.md §16). scalar
-    // vs simd on the NS sweep isolates the lane-SoA kernel win — same
+    // per-point production path replaying the same sweep one driver
+    // at a time. Aggregate Mev/s counts lanes × events per wall
+    // second: the number a cold figure sweep actually experiences.
+    // (Variant lanes — PRW reclamation, FreeSearch allocation — batch
+    // just as well but are deliberately left out of the measured
+    // batch: a FreeSearch lane's per-op cost is higher, which
+    // *dilutes* the ratio against the per-point baseline without
+    // changing the absolute win, so the windows-only sweep is the
+    // cleaner number.) Each scheme's sweep is timed three ways per
+    // rep: the per-point production path (one default driver per
+    // lane — the lockstep loop at width one), the batched loop with
+    // the follower replay pinned to the per-lane scalar pass, and the
+    // batched loop under the session's effective SIMD dispatch
+    // (win/simd.h) — deliberately NOT a forced tier, so the dispatch
+    // is exactly a figure sweep's (the sharing schemes' slot-map
+    // lanes always take the per-lane pass; DESIGN.md §16). scalar vs
+    // simd on the NS sweep isolates the lane-SoA kernel win — same
     // recorded op stream, same batch shape — and is the simd_speedup
     // number scripts/bench_perf.sh gates at >= 1.25x; the aggregate
     // rows report the full three-scheme mix.
@@ -233,7 +234,6 @@ runReplayThroughput(const FlagSet &flags)
             for (std::size_t l = 0; l < lanes; ++l) {
                 ReplayDriver driver(trace, configs[l],
                                     SchedPolicy::Fifo, &flat);
-                driver.setPath(ReplayPath::Fast);
                 driver.run();
                 point_metrics[l] = driver.metrics();
             }
@@ -261,8 +261,8 @@ runReplayThroughput(const FlagSet &flags)
                     std::cout << "  [FAIL] " << schemeName(scheme)
                               << " w" << configs[l].numWindows
                               << ": scalar batched lane metrics "
-                                 "diverged from the per-point fast "
-                                 "path\n";
+                                 "diverged from the per-point "
+                                 "production path\n";
                 }
                 if (!metricsBitIdentical(point_metrics[l],
                                          simd_batched.metrics(l))) {
@@ -271,8 +271,8 @@ runReplayThroughput(const FlagSet &flags)
                               << " w" << configs[l].numWindows << " ("
                               << simdTierName(simd_tier)
                               << "): SIMD batched lane metrics "
-                                 "diverged from the per-point fast "
-                                 "path\n";
+                                 "diverged from the per-point "
+                                 "production path\n";
                 }
             }
             const double wp =
@@ -343,8 +343,8 @@ runReplayThroughput(const FlagSet &flags)
                                : 0;
     // The gated number: the SoA vector-kernel pass against the scalar
     // follower on the sweep it dispatches to (NS). The sharing
-    // schemes' simd column reads ~1.00x by design — under auto their
-    // lanes pin to the oracle (serial slot-map probes; DESIGN.md §16)
+    // schemes' simd column reads ~1.00x by design — their lanes always
+    // take the per-lane pass (serial slot-map probes; DESIGN.md §16)
     // — and the full-mix throughput is published alongside.
     const double simd_speedup =
         ns_wall_simd > 0 ? ns_wall_scalar / ns_wall_simd : 0;
@@ -360,17 +360,17 @@ runReplayThroughput(const FlagSet &flags)
               << simd_speedup << "x vs scalar follower\n";
 
     const double mevps =
-        total_wall_fast > 0 ? total_events / total_wall_fast / 1e6
+        total_wall_prod > 0 ? total_events / total_wall_prod / 1e6
                             : 0;
     const double overall =
-        total_wall_fast > 0 ? total_wall_legacy / total_wall_fast
+        total_wall_prod > 0 ? total_wall_legacy / total_wall_prod
                             : 0;
     std::cout << "\n  overall: "
               << static_cast<long>(total_events)
-              << " replayed events, " << mevps << " Mev/s fast, "
-              << overall << "x vs legacy\n";
+              << " replayed events, " << mevps
+              << " Mev/s production, " << overall << "x vs legacy\n";
     std::cout << "  [" << (ok ? "ok" : "FAIL")
-              << "] fast and legacy paths bit-identical\n";
+              << "] production and legacy paths bit-identical\n";
 
     const std::string json_path = flags.getString("json");
     if (!json_path.empty()) {
@@ -381,9 +381,12 @@ runReplayThroughput(const FlagSet &flags)
            << "\",\n"
            << "  \"mevps\": " << mevps << ",\n"
            << "  \"speedup\": " << overall << ",\n"
-           << "  \"wall_s\": " << total_wall_fast << ",\n"
+           << "  \"wall_s\": " << total_wall_prod << ",\n"
            // New keys stay below "speedup": bench_perf.sh reads the
-           // first "speedup" occurrence as the fast-vs-legacy number.
+           // first "speedup" occurrence as the production-vs-legacy
+           // number. The "fast" key names predate the production
+           // path's move onto the width-1 lockstep loop and stay for
+           // the BENCH history.
            << "  \"batch_width\": " << max_lanes << ",\n"
            << "  \"mevps_point_aggregate\": " << mevps_point_agg
            << ",\n"

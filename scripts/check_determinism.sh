@@ -31,11 +31,11 @@
 #     and its replay count equals fig11's alone (fig12 and fig13
 #     contribute no new points).
 #
-#  5. The devirtualized fast replay path is semantically invisible:
-#     `crw-bench fig11 table2 --no-cache` with CRW_REPLAY_FAST=0
-#     (legacy oracle loop) and =1 (specialized FlatTrace loop)
-#     produces byte-identical CSVs, stdout and normalized metrics,
-#     and the fast path agrees with itself at --jobs 1 vs --jobs N.
+#  5. Oracle vs production: `crw-bench fig11 table2 --no-cache` with
+#     CRW_REPLAY_FAST=0 (legacy oracle loop) and =1 (the production
+#     lockstep FlatTrace loop, per-point at width one) produces
+#     byte-identical CSVs, stdout and normalized metrics, and the
+#     production path agrees with itself at --jobs 1 vs --jobs N.
 #
 #  6. The arena-backed stores (DESIGN.md section 13) are invisible in
 #     every output byte: cold, warm and --no-cache runs of
@@ -67,9 +67,10 @@
 #
 #  9. The SIMD follower pass (DESIGN.md section 16) is semantically
 #     invisible: `crw-bench fig11 fig12 fig13 --no-cache` under
-#     CRW_SIMD=scalar (per-lane oracle replay), =sse2 and =avx2
-#     (lane-SoA vector kernels; avx2 clamps with a warning on hosts
-#     without it) produces byte-identical CSVs, stdout and normalized
+#     CRW_SIMD=scalar (per-lane replay), =sse2 and =avx2 (NS/INF
+#     lane-SoA vector kernels, sharing schemes always scalar; avx2
+#     clamps with a warning on hosts without it) produces
+#     byte-identical CSVs, stdout and normalized
 #     metrics — minus the replay.simd_path counter, which records the
 #     tier itself — and the widest tier agrees with itself at
 #     --jobs 1 vs --jobs N. The counters prove each run took the
@@ -353,11 +354,11 @@ else
     status=1
 fi
 
-# Part 5: the devirtualized fast replay path is an implementation
-# detail. CRW_REPLAY_FAST=0 pins every replay to the legacy per-event
-# oracle loop; the default (=1) takes the statically specialized
-# FlatTrace loop. The two must agree on every output byte — CSVs,
-# stdout and the normalized metrics view — and the fast path must
+# Part 5: oracle vs production. CRW_REPLAY_FAST=0 pins every replay
+# to the legacy per-event oracle loop; the default (=1) takes the
+# production lockstep FlatTrace loop (width one per point, wider for
+# batches). The two must agree on every output byte — CSVs, stdout
+# and the normalized metrics view — and the production path must
 # itself stay deterministic across --jobs 1 vs --jobs N. --no-cache
 # forces real replays so the comparison can never be satisfied by the
 # result cache alone.
@@ -411,11 +412,11 @@ else
     status=1
 fi
 
-# CRW_REPLAY_FAST=0 also pins lockstep batching off (the batch loop
-# is a fast-path specialization), so the legacy run legitimately lacks
-# the replay.batch* counters — and replay.simd_path, which only the
-# batched follower pass records; strip both for the legacy-vs-fast
-# and batched-vs-per-point views only. The batched runs keep them:
+# CRW_REPLAY_FAST=0 also pins lockstep batching off, so the oracle
+# run legitimately lacks the replay.batch* counters — and
+# replay.simd_path, which only the batched follower pass records;
+# strip both for the oracle-vs-production and batched-vs-per-point
+# views only. The batched runs keep them:
 # across job counts they must agree.
 # Stripping a counter that happened to be last in its block leaves
 # the new last line with a now-spurious trailing comma, so the views
@@ -599,7 +600,8 @@ for cold_csv in "$workdir"/store/bench_out/*.csv; do
 done
 
 # Part 7: lockstep batch replay. CRW_REPLAY_BATCH=0 pins every cache
-# miss to the per-point fast path; the default groups misses that
+# miss to the per-point production path (the same lockstep loop at
+# width one); the default groups misses that
 # share a (behavior, scheme, cost model, policy) batch key into one
 # lockstep pass per trace. Both must produce the same bytes, and the
 # counters must show the batched run actually batched. --no-cache
@@ -788,10 +790,10 @@ else
 fi
 
 # Part 9: the SIMD follower pass. CRW_SIMD pins the batched follower
-# replay to one dispatch tier: `scalar` is the per-lane oracle, the
-# named vector tiers run the lane-SoA pass (an explicit pin forces it
-# for every scheme, including the sharing schemes that auto dispatch
-# routes to the oracle). Every tier must produce the same bytes —
+# replay to one dispatch tier: `scalar` is the per-lane pass, the
+# named vector tiers run the NS/INF lane-SoA pass (the sharing
+# schemes are always scalar, on every tier). Every tier must produce
+# the same bytes —
 # the tier may only change host wall time. The replay.simd_path
 # counter records the tier taken, so it is stripped from the
 # cross-tier metrics view and then used to prove each run really ran

@@ -20,7 +20,7 @@
  * jump or back, which level, when a quantum expires — lives in one of
  * the policy classes below. The hot replay loops are templated on the
  * concrete policy type (mirroring the SchemeT pattern of
- * FastEngineView / BatchedEngineView) so placement compiles down to
+ * BatchedEngineView) so placement compiles down to
  * the same straight-line code the old two-way branch produced; the
  * live Scheduler and the legacy oracle dispatch through SchedPolicyBox
  * (a std::variant) where the indirection is off any hot path.

@@ -247,8 +247,12 @@ ArenaBuilder::assemble(std::vector<std::uint8_t> &out) const
         put64(entry + 8, offsets[i]);
         put64(entry + 16, segments_[i].bytes.size());
         entry += kSegmentEntryBytes;
-        std::memcpy(out.data() + offsets[i], segments_[i].bytes.data(),
-                    segments_[i].bytes.size());
+        // An empty segment's buffer may be null, and memcpy from null
+        // is undefined even for zero bytes.
+        if (!segments_[i].bytes.empty())
+            std::memcpy(out.data() + offsets[i],
+                        segments_[i].bytes.data(),
+                        segments_[i].bytes.size());
     }
     std::memcpy(out.data() + entry, appKey_.data(), appKey_.size());
 

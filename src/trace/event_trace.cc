@@ -246,8 +246,7 @@ saveTraceFile(const EventTrace &trace, const std::string &path,
     ByteWriter payload;
     encodeTracePayload(trace, payload);
 
-    ByteWriter file;
-    file.bytes.insert(file.bytes.end(), kMagic, kMagic + 8);
+    ByteWriter file{{kMagic, kMagic + 8}};
     file.u32(kTraceFormatVersion);
     file.bytes.insert(file.bytes.end(), payload.bytes.begin(),
                       payload.bytes.end());

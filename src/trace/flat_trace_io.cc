@@ -91,7 +91,10 @@ loadFlatTrace(const std::string &path, std::uint64_t trace_checksum,
     const std::size_t thread_count =
         span_bytes / (2 * sizeof(std::uint32_t));
     std::vector<FlatTrace::Span> threads(thread_count);
-    std::memcpy(threads.data(), spans, span_bytes);
+    // Empty span table: both pointers may be null, and memcpy with a
+    // null pointer is undefined even for zero bytes.
+    if (span_bytes > 0)
+        std::memcpy(threads.data(), spans, span_bytes);
     // Spans must tile [0, events) in thread order — the same shape
     // FlatTrace::build produces and the replay driver indexes by.
     std::uint32_t expected_begin = 0;

@@ -7,65 +7,98 @@
 #include "win/engine_batch.h"
 
 namespace crw {
-namespace {
+
+namespace detail_replay {
 
 std::string
-batchContext(const EventTrace &trace, const WindowEngine &engine,
-             SchedPolicy policy, std::size_t lanes)
+replayContext(const EventTrace &trace, const WindowEngine &leader,
+              SchedPolicy policy, std::size_t lanes)
 {
+    if (lanes == 1)
+        return "behavior \"" + trace.key + "\", " +
+               schemeName(leader.scheme()) + "/w" +
+               std::to_string(leader.numWindows()) + "/" +
+               policyName(policy);
     return "behavior \"" + trace.key + "\", " +
-           schemeName(engine.scheme()) + "/" + policyName(policy) +
+           schemeName(leader.scheme()) + "/" + policyName(policy) +
            ", batch of " + std::to_string(lanes);
 }
 
+} // namespace detail_replay
+
+namespace {
+
+using detail_replay::replayContext;
+
 /**
- * The lockstep dispatch loop: the exact state machine of
- * ReplayDriver::runFastLoop (replay_driver.cc) — same goto-chained
- * measured-successor decode, same stream/waiter/scheduler statements
- * — with the single-engine FastEngineView replaced by the
- * leader/follower BatchedEngineView and the one engine-state read in
- * the control path (residency at wake, consulted by the working-set
- * policy family) answered by the leader, recorded, and re-verified on
+ * A malformed script of thread @p tid: events after its Exit, or
+ * (@p after_exit false) no Exit at its end. Out of line, cold and
+ * noreturn, so the per-event end-of-script checks in the flattened
+ * loop compile to never-taken branches.
+ */
+[[noreturn]] __attribute__((noinline, cold)) void
+fatalScript(const EventTrace &trace, const WindowEngine &leader,
+            SchedPolicy policy, std::size_t lanes, ThreadId tid,
+            bool after_exit)
+{
+    const std::string who =
+        std::to_string(tid) + " (" +
+        trace.threads[static_cast<std::size_t>(tid)].name + ")";
+    crw_fatal_unreachable(
+        (after_exit ? "replay: events after Exit in thread " + who
+                    : "replay: script of thread " + who +
+                          " ended without Exit") +
+        " — " + replayContext(trace, leader, policy, lanes));
+}
+
+/**
+ * The lockstep dispatch loop: the exact state machine of the oracle
+ * loop (ReplayDriver::runLegacy + runThread, replay_driver.cc) — same
+ * stream/waiter/scheduler statements — with the script walk flattened
+ * to an index into the predecoded arena and every engine event inlined
+ * through the BatchedEngineView. The one engine-state read in the
+ * control path (residency at wake, consulted by the working-set policy
+ * family) is answered by the leader, recorded, and re-verified on
  * every follower lane when the drained loop hands off to
  * view.finish(). Every other policy input (static priorities, the
  * round-robin quantum's charge operands) is lane-invariant by the
  * policy determinism contract (rt/sched_core.h), so those policies
  * batch without checkpoints.
  */
-// flatten: same rationale as runFastLoop — the window-file and scheme
-// primitives must inline into the per-lane event bodies, where they
-// run hundreds of millions of times per sweep.
+// flatten: the instantiations are each large enough that gcc's
+// unit-growth budget otherwise gives up on inlining the window-file
+// and scheme primitives (thread(), claimAsTop(), ...) precisely where
+// they fire hundreds of millions of times per sweep; forcing the full
+// event path inline here is the point of the specialized loop.
 template <typename SchemeT, typename PolicyT>
 __attribute__((flatten)) bool
 lockstepLoop(const EventTrace &trace, const FlatTrace &flat,
-             SchedCore &core, PolicyT &pol,
-             std::vector<RStream> &streams,
-             std::vector<RThread> &threads,
-             WindowEngine *const *engines, BehaviorTracker &tracker,
-             std::size_t lanes, SimdTier *simd_path)
+             ReplayControl &ctl, PolicyT &pol,
+             WindowEngine *const *followers, std::size_t lanes,
+             SimdTier *simd_path)
 {
-    BatchedEngineView<SchemeT> view(engines, lanes);
+    SchedCore &core = ctl.core;
+    std::vector<RStream> &streams = ctl.streams;
+    std::vector<RThread> &threads = ctl.threads;
+    BehaviorTracker &tracker = ctl.tracker;
+    for (std::size_t i = 0; i < threads.size(); ++i)
+        threads[i].pc = flat.threads[i].begin;
+    BatchedEngineView<SchemeT> view(ctl.leader, followers, lanes);
     view.reserveOps(flat.eventCount());
     const std::uint8_t *const ops = flat.ops;
     const std::uint64_t *const operands = flat.operands;
 
     const auto fatalEventsAfterExit = [&](ThreadId tid) {
-        crw_fatal << "replay: events after Exit in thread " << tid
-                  << " ("
-                  << trace.threads[static_cast<std::size_t>(tid)].name
-                  << ") — "
-                  << batchContext(trace, *engines[0], core.policy(),
-                                  lanes);
+        fatalScript(trace, ctl.leader, core.policy(), lanes, tid, true);
     };
     const auto fatalEndedWithoutExit = [&](ThreadId tid) {
-        crw_fatal << "replay: script of thread " << tid << " ("
-                  << trace.threads[static_cast<std::size_t>(tid)].name
-                  << ") ended without Exit — "
-                  << batchContext(trace, *engines[0], core.policy(),
-                                  lanes);
+        fatalScript(trace, ctl.leader, core.policy(), lanes, tid,
+                    false);
     };
 
-    // Mirror of ReplayDriver::wakeAllSlow, plus the batch contract:
+    // Mirror of ReplayDriver::wakeAllSlow, bound to the concrete
+    // policy type so queue placement compiles to straight-line code,
+    // plus the batch contract:
     // when the policy consults residency (WS, WSA) the placement
     // consumes the *leader's* residency of the woken thread, and the
     // view records a checkpoint every follower lane re-verifies during
@@ -102,9 +135,10 @@ lockstepLoop(const EventTrace &trace, const FlatTrace &flat,
         t.state = RState::Running;
         if (view.current() != tid) {
             const ThreadId from = view.current();
+            const Cycles begin = view.now();
             view.contextSwitch(tid);
-            tracker.onSwitch(from, tid, view.depth(tid),
-                             view.switchBegin(0), view.now(0));
+            tracker.onSwitch(from, tid, view.depth(tid), begin,
+                             view.now());
         }
 
         std::uint32_t pc = t.pc;
@@ -114,6 +148,13 @@ lockstepLoop(const EventTrace &trace, const FlatTrace &flat,
         while (running) {
             if (pc == end)
                 fatalEndedWithoutExit(tid);
+            // After each handler, the dominant successor op (measured
+            // on the spell traces: every Save is followed by a Charge,
+            // most Restores by a Save, most Gets by a Restore) is
+            // peeked and handled inline — a predictable conditional
+            // branch instead of a round trip through the switch's
+            // indirect dispatch. The executed event sequence is
+            // exactly the oracle's.
             switch (static_cast<TraceOp>(ops[pc])) {
               case TraceOp::Save:
               save_op:
@@ -139,7 +180,7 @@ lockstepLoop(const EventTrace &trace, const FlatTrace &flat,
                 if constexpr (PolicyT::kHasQuantum) {
                     // Preemption point: the charge has executed, then
                     // the thread yields to the tail of the queue —
-                    // same statement order as the per-point loops. The
+                    // same statement order as the oracle loop. The
                     // operand is a shared trace value, so every lane
                     // observes the identical quantum schedule.
                     if (pol.chargeExpires(
@@ -241,25 +282,20 @@ namespace detail_replay {
 
 bool
 runLockstepLoop(const EventTrace &trace, const FlatTrace &flat,
-                SchedCore &core, SchedPolicyBox &policy,
-                std::vector<RStream> &streams,
-                std::vector<RThread> &threads,
-                WindowEngine *const *engines, BehaviorTracker &tracker,
+                ReplayControl &control, WindowEngine *const *followers,
                 std::size_t lanes, SimdTier *simd_path)
 {
-    // One instantiation per (scheme, policy) pair, mirroring
-    // ReplayDriver::runFast: the policy's placement verbs and quantum
-    // branches compile to straight-line code inside the flattened
-    // loop.
+    // One instantiation per (scheme, policy) pair: the scheme's event
+    // bodies and the policy's placement verbs and quantum branches
+    // compile to straight-line code inside the flattened loop.
     const auto dispatch = [&](auto scheme_tag) {
         using SchemeT = typename decltype(scheme_tag)::type;
-        return policy.visit([&](auto &pol) {
-            return lockstepLoop<SchemeT>(trace, flat, core, pol,
-                                         streams, threads, engines,
-                                         tracker, lanes, simd_path);
+        return control.policy.visit([&](auto &pol) {
+            return lockstepLoop<SchemeT>(trace, flat, control, pol,
+                                         followers, lanes, simd_path);
         });
     };
-    switch (engines[0]->scheme()) {
+    switch (control.leader.scheme()) {
       case SchemeKind::NS:
         return dispatch(std::type_identity<detail::NsScheme>{});
       case SchemeKind::SNP:
@@ -274,21 +310,32 @@ runLockstepLoop(const EventTrace &trace, const FlatTrace &flat,
 
 } // namespace detail_replay
 
-BatchedReplayDriver::BatchedReplayDriver(
-    const EventTrace &trace, const std::vector<EngineConfig> &configs,
-    SchedPolicy policy, const FlatTrace *flat)
-    : trace_(trace),
-      flat_(flat),
-      tracker_(64),
-      core_(policy),
-      policy_(policy)
+namespace {
+
+/** Lane 0's configuration; fatal on an empty batch. */
+const EngineConfig &
+leaderConfig(const EventTrace &trace,
+             const std::vector<EngineConfig> &configs)
 {
     if (configs.empty())
         crw_fatal << "BatchedReplayDriver: empty config batch for "
                      "behavior \""
                   << trace.key << "\"";
-    engines_.reserve(configs.size());
-    for (const EngineConfig &config : configs) {
+    return configs.front();
+}
+
+} // namespace
+
+BatchedReplayDriver::BatchedReplayDriver(
+    const EventTrace &trace, const std::vector<EngineConfig> &configs,
+    SchedPolicy policy, const FlatTrace *flat)
+    : trace_(trace),
+      flat_(flat),
+      ctl_(trace, leaderConfig(trace, configs), policy)
+{
+    followers_.reserve(configs.size() - 1);
+    for (std::size_t l = 0; l < configs.size(); ++l) {
+        const EngineConfig &config = configs[l];
         if (config.scheme != configs.front().scheme)
             crw_fatal << "BatchedReplayDriver: mixed schemes in one "
                          "batch ("
@@ -303,28 +350,13 @@ BatchedReplayDriver::BatchedReplayDriver(
                       << trace.key << "\", "
                       << schemeName(config.scheme) << "/"
                       << policyName(policy) << ")";
-        engines_.push_back(std::make_unique<WindowEngine>(config));
+        if (l == 0)
+            continue; // lane 0 is ctl_.leader
+        followers_.push_back(std::make_unique<WindowEngine>(config));
+        for (std::size_t i = 0; i < trace.threads.size(); ++i)
+            followers_.back()->addThread(static_cast<ThreadId>(i));
     }
-
-    streams_.resize(trace.streams.size());
-    for (std::size_t i = 0; i < trace.streams.size(); ++i) {
-        streams_[i].capacity = trace.streams[i].capacity;
-        streams_[i].openWriters =
-            static_cast<int>(trace.streams[i].writers);
-    }
-    threads_.reserve(trace.threads.size());
-    // Spawn order: dense tids, placement by the policy (priorities
-    // come from the trace) — exactly as Scheduler::spawn.
-    for (std::size_t i = 0; i < trace.threads.size(); ++i) {
-        const ThreadId tid = static_cast<ThreadId>(i);
-        for (auto &engine : engines_)
-            engine->addThread(tid);
-        threads_.push_back(RThread{TraceCursor(trace.threads[i].code),
-                                   0, RState::Ready});
-        policy_.noteSpawn(tid, trace.threads[i].priority);
-        policy_.onSpawn(core_, tid);
-    }
-    crw_assert(!flat_ || flat_->threads.size() == threads_.size());
+    crw_assert(!flat_ || flat_->threads.size() == ctl_.threads.size());
 }
 
 bool
@@ -332,8 +364,8 @@ BatchedReplayDriver::run()
 {
     if (ran_)
         crw_fatal << "BatchedReplayDriver::run() called twice ("
-                  << batchContext(trace_, *engines_[0], core_.policy(),
-                                  lanes())
+                  << replayContext(trace_, ctl_.leader,
+                                   ctl_.core.policy(), lanes())
                   << ")";
     ran_ = true;
 
@@ -342,35 +374,32 @@ BatchedReplayDriver::run()
             std::make_unique<FlatTrace>(FlatTrace::build(trace_));
         flat_ = ownedFlat_.get();
     }
-    for (std::size_t i = 0; i < threads_.size(); ++i)
-        threads_[i].pc = flat_->threads[i].begin;
 
-    // The raw lane array the loop iterates (unique_ptr unwrapped off
-    // the hot path).
-    std::vector<WindowEngine *> engines;
-    engines.reserve(lanes());
-    for (std::size_t l = 0; l < lanes(); ++l)
-        engines.push_back(engines_[l].get());
+    // The raw follower array the loop iterates (unique_ptr unwrapped
+    // off the hot path).
+    std::vector<WindowEngine *> followers;
+    followers.reserve(followers_.size());
+    for (const auto &engine : followers_)
+        followers.push_back(engine.get());
 
-    ok_ = detail_replay::runLockstepLoop(trace_, *flat_, core_,
-                                         policy_, streams_, threads_,
-                                         engines.data(), tracker_,
-                                         lanes(), &simdPath_);
+    ok_ = detail_replay::runLockstepLoop(trace_, *flat_, ctl_,
+                                         followers.data(), lanes(),
+                                         &simdPath_);
     if (!ok_)
         return false;
 
-    for (std::size_t i = 0; i < threads_.size(); ++i) {
-        if (threads_[i].state != RState::Finished)
+    for (std::size_t i = 0; i < ctl_.threads.size(); ++i) {
+        if (ctl_.threads[i].state != RState::Finished)
             crw_fatal << "replay deadlock: thread " << i << " ("
                       << trace_.threads[i].name
                       << ") never finished — trace/config mismatch, "
-                      << batchContext(trace_, *engines_[0],
-                                      core_.policy(), lanes());
+                      << replayContext(trace_, ctl_.leader,
+                                       ctl_.core.policy(), lanes());
     }
     // One finish at lane 0's clock: the sole clock-dependent tracker
     // state is the granularity distribution, which no RunMetrics
-    // field reads (see replay_batch.h).
-    tracker_.finish(engines_[0]->now());
+    // field reads (see trace/replay_state.h).
+    ctl_.tracker.finish(ctl_.leader.now());
     return true;
 }
 
@@ -385,12 +414,12 @@ BatchedReplayDriver::metrics(std::size_t lane) const
                            : "the engines and trackers are "
                              "unpopulated")
                   << " ("
-                  << batchContext(trace_, *engines_[0], core_.policy(),
-                                  lanes())
+                  << replayContext(trace_, ctl_.leader,
+                                   ctl_.core.policy(), lanes())
                   << ")";
-    return collectRunMetrics(*engines_[lane], tracker_,
-                             core_.slackness(), core_.policy(),
-                             static_cast<int>(threads_.size()),
+    return collectRunMetrics(engine(lane), ctl_.tracker,
+                             ctl_.core.slackness(), ctl_.core.policy(),
+                             static_cast<int>(ctl_.threads.size()),
                              trace_.misspelled);
 }
 

@@ -35,16 +35,19 @@
  *
  * Within a batch only lane 0 runs the walk inline; it records the
  * engine-op stream, and BatchedEngineView::finish() replays the
- * followers from that record — per lane on the scalar tier, or in
- * one lane-SoA pass with SIMD run kernels on the vector tiers
- * ($CRW_SIMD, win/simd.h, DESIGN.md §16). The tier is a host-side
- * choice only: every tier produces bit-identical lane results.
+ * followers from that record — per lane on the scalar tier and for
+ * the sharing schemes, or in one lane-SoA pass with SIMD run kernels
+ * for NS/INF on the vector tiers ($CRW_SIMD, win/simd.h, DESIGN.md
+ * §16). The tier is a host-side choice only: every tier produces
+ * bit-identical lane results. A per-point replay (ReplayDriver's
+ * default path) is the same loop at width one.
  */
 
 #ifndef CRW_TRACE_REPLAY_BATCH_H_
 #define CRW_TRACE_REPLAY_BATCH_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "rt/sched_core.h"
@@ -61,9 +64,11 @@ namespace crw {
 namespace detail_replay {
 
 /**
- * The lockstep batch loop over shared control state and K lanes.
- * Internal: ReplayDriver (ReplayPath::Batched) runs it at width one
- * over its own state; BatchedReplayDriver runs it at full width.
+ * The lockstep batch loop over shared control state and K lanes: the
+ * one production replay loop. Internal: ReplayDriver runs it at width
+ * one over its own state; BatchedReplayDriver runs it at full width.
+ * @p control must be freshly constructed; lane 0 is its leader engine
+ * and @p followers holds the other @p lanes - 1 (null at width one).
  *
  * @return false when a working-set-family wake found the lanes
  *         disagreeing on residency — the schedules would fork, the
@@ -71,16 +76,24 @@ namespace detail_replay {
  *
  * @param simd_path When non-null, receives the follower pass the
  *        batch actually dispatched (BatchedEngineView::simdPathTaken):
- *        Scalar when the per-lane oracle ran the followers, else the
+ *        Scalar when the per-lane pass ran the followers, else the
  *        SoA tier. Written on both outcomes.
  */
 bool runLockstepLoop(const EventTrace &trace, const FlatTrace &flat,
-                     SchedCore &core, SchedPolicyBox &policy,
-                     std::vector<RStream> &streams,
-                     std::vector<RThread> &threads,
-                     WindowEngine *const *engines,
-                     BehaviorTracker &tracker, std::size_t lanes,
+                     ReplayControl &control,
+                     WindowEngine *const *followers, std::size_t lanes,
                      SimdTier *simd_path = nullptr);
+
+/**
+ * Replay coordinate for fatal diagnostics: which behavior's trace was
+ * being replayed, and at which point — scheme/windows/policy at width
+ * one, scheme/policy and the width for a batch. A stuck or mismatched
+ * replay is almost always one bad point in a large sweep, so the bare
+ * thread id alone is undebuggable.
+ */
+std::string replayContext(const EventTrace &trace,
+                          const WindowEngine &leader, SchedPolicy policy,
+                          std::size_t lanes);
 
 } // namespace detail_replay
 
@@ -122,26 +135,26 @@ class BatchedReplayDriver
      */
     bool run();
 
-    std::size_t lanes() const { return engines_.size(); }
+    std::size_t lanes() const { return 1 + followers_.size(); }
 
     /** Metrics of lane @p lane. Fatal before a successful run(). */
     RunMetrics metrics(std::size_t lane) const;
 
     WindowEngine &engine(std::size_t lane)
     {
-        return *engines_[lane];
+        return lane == 0 ? ctl_.leader : *followers_[lane - 1];
     }
     const WindowEngine &engine(std::size_t lane) const
     {
-        return *engines_[lane];
+        return lane == 0 ? ctl_.leader : *followers_[lane - 1];
     }
-    const SchedCore &core() const { return core_; }
+    const SchedCore &core() const { return ctl_.core; }
 
     /**
      * The follower pass run() actually dispatched: Scalar when the
-     * per-lane oracle replayed the followers (scalar tier, or the
-     * sharing schemes' pin under `auto` dispatch), else the lane-SoA
-     * tier. Meaningless before run().
+     * per-lane pass replayed the followers (scalar tier, or the
+     * sharing schemes on any tier), else the lane-SoA tier.
+     * Meaningless before run().
      */
     SimdTier simdPath() const { return simdPath_; }
 
@@ -149,18 +162,9 @@ class BatchedReplayDriver
     const EventTrace &trace_;
     const FlatTrace *flat_;
     std::unique_ptr<FlatTrace> ownedFlat_;
-    std::vector<std::unique_ptr<WindowEngine>> engines_;
-    /**
-     * One tracker for all lanes: every field RunMetrics reads from it
-     * depends only on the shared event sequence (the granularity
-     * distribution is the lone per-clock member, and nothing collects
-     * it from a replay).
-     */
-    BehaviorTracker tracker_;
-    SchedCore core_;
-    SchedPolicyBox policy_;
-    std::vector<RStream> streams_;
-    std::vector<RThread> threads_;
+    /** Lanes 1..K-1; lane 0 is ctl_.leader. */
+    std::vector<std::unique_ptr<WindowEngine>> followers_;
+    ReplayControl ctl_;
     SimdTier simdPath_ = SimdTier::Scalar;
     bool ran_ = false;
     bool ok_ = false;

@@ -23,23 +23,26 @@
  *
  *  - the *oracle* loop walks the encoded scripts through TraceCursor
  *    and drives the engine's virtual-dispatch members;
- *  - the *fast* loop walks a predecoded FlatTrace and drives a
- *    FastEngineView specialized on the concrete scheme class and on
- *    whether an observer is installed.
+ *  - the *production* loop is the lockstep batch loop
+ *    (replay_batch.h) at width one: it walks a predecoded FlatTrace
+ *    and drives a BatchedEngineView specialized on the concrete
+ *    scheme class and scheduling policy.
  *
- * Path selection (ReplayPath): Auto — the default — takes the fast
- * loop unless the engine was configured with checkInvariants (the
- * invariant walk only exists on the oracle path) or the environment
- * variable CRW_REPLAY_FAST is set to "0" (the determinism gate's
- * switch). Fast/Legacy force one loop for differential testing. Both
- * loops must produce bit-identical RunMetrics; the fast-replay test
- * sweeps that equivalence across every scheme and variant.
+ * Path selection (ReplayPath): Auto — the default — takes the
+ * production loop unless the engine carries an observer or
+ * checkInvariants (the timeline hooks and the invariant walk only
+ * exist on the oracle path) or the environment variable
+ * CRW_REPLAY_FAST is set to "0" (the determinism gate's oracle pin).
+ * Legacy forces the oracle for differential testing. Both loops must
+ * produce bit-identical RunMetrics; the batch-replay test sweeps that
+ * equivalence across every scheme and variant.
  */
 
 #ifndef CRW_TRACE_REPLAY_DRIVER_H_
 #define CRW_TRACE_REPLAY_DRIVER_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/small_vec.h"
@@ -55,17 +58,8 @@ namespace crw {
 
 /** Which replay loop run() uses (see file comment). */
 enum class ReplayPath : std::uint8_t {
-    Auto,   ///< fast unless checkInvariants or CRW_REPLAY_FAST=0
-    Fast,   ///< force the specialized loop (fatal w/ checkInvariants)
+    Auto,   ///< production unless observer/checkInvariants/oracle pin
     Legacy, ///< force the virtual-dispatch oracle loop
-    /**
-     * Force the lockstep batch loop (trace/replay_batch.h) at width
-     * one. Semantically identical to Fast — the differential tests
-     * pin the batched event bodies against both other loops on a
-     * single point, where lane divergence is impossible. Multi-lane
-     * batching goes through BatchedReplayDriver instead.
-     */
-    Batched,
 };
 
 class ReplayDriver
@@ -80,7 +74,7 @@ class ReplayDriver
      * @param flat Optional predecoded image of @p trace (not owned;
      *        must outlive this). The bench executor builds one per
      *        trace and shares it across the sweep; when absent, a
-     *        fast-path run() predecodes privately.
+     *        production run() predecodes privately.
      */
     ReplayDriver(const EventTrace &trace,
                  const EngineConfig &engine_config, SchedPolicy policy,
@@ -99,12 +93,6 @@ class ReplayDriver
      */
     void run();
 
-    /** True once run() completed through the specialized loop. */
-    bool usedFastPath() const { return usedFast_; }
-
-    /** True once run() completed through the lockstep batch loop. */
-    bool usedBatchedPath() const { return usedBatched_; }
-
     /**
      * Metrics of the finished run. Fatal before run(): the engine and
      * tracker hold a half-initialized state that would serialize as a
@@ -112,27 +100,20 @@ class ReplayDriver
      */
     RunMetrics metrics() const;
 
-    WindowEngine &engine() { return engine_; }
-    const WindowEngine &engine() const { return engine_; }
-    const SchedCore &core() const { return core_; }
-    const BehaviorTracker &tracker() const { return tracker_; }
+    WindowEngine &engine() { return ctl_.leader; }
+    const WindowEngine &engine() const { return ctl_.leader; }
+    const SchedCore &core() const { return ctl_.core; }
+    const BehaviorTracker &tracker() const { return ctl_.tracker; }
 
   private:
     /** Oracle loop: execute @p tid's script until it parks or exits. */
     void runThread(ThreadId tid);
     /** The oracle dispatch loop (virtual Scheme + TraceCursor). */
     void runLegacy();
-    /** Instantiate and run the fast loop for the engine's scheme and
-     *  the concrete scheduling-policy type (SchedPolicyBox::visit). */
-    void runFast(const FlatTrace &flat);
-    template <typename SchemeT, typename ObserverPolicy,
-              typename PolicyT>
-    void runFastLoop(const FlatTrace &flat, ObserverPolicy observer,
-                     PolicyT &pol);
     /**
      * Wake every parked waiter on @p waiters. Most stream operations
      * find nobody parked (wakes happen on the full/empty edges only),
-     * so the empty case must cost one load in the replay loops.
+     * so the empty case must cost one load.
      */
     void
     wakeAll(SmallVec<ThreadId, 8> &waiters)
@@ -143,20 +124,15 @@ class ReplayDriver
     void wakeAllSlow(SmallVec<ThreadId, 8> &waiters);
     [[noreturn]] void fatalEventsAfterExit(ThreadId tid);
     [[noreturn]] void fatalEndedWithoutExit(ThreadId tid);
+    /** Replay coordinate for fatal diagnostics (replay_batch.h). */
+    std::string context() const;
 
     const EventTrace &trace_;
     const FlatTrace *flat_;
     std::unique_ptr<FlatTrace> ownedFlat_;
-    WindowEngine engine_;
-    SchedCore core_;
-    SchedPolicyBox policy_;
-    BehaviorTracker tracker_;
-    std::vector<RStream> streams_;
-    std::vector<RThread> threads_;
+    ReplayControl ctl_;
     ReplayPath path_ = ReplayPath::Auto;
     bool ran_ = false;
-    bool usedFast_ = false;
-    bool usedBatched_ = false;
 };
 
 } // namespace crw

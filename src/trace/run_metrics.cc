@@ -194,9 +194,7 @@ saveMetricsFile(const RunMetrics &metrics, const std::string &key,
     const std::vector<std::uint8_t> payload =
         encodeMetricsRecord(metrics, key);
 
-    ByteWriter file;
-    file.bytes.insert(file.bytes.end(), kMetricsMagic,
-                      kMetricsMagic + 8);
+    ByteWriter file{{kMetricsMagic, kMetricsMagic + 8}};
     file.u32(kRunMetricsFormatVersion);
     file.bytes.insert(file.bytes.end(), payload.begin(),
                       payload.end());

@@ -108,9 +108,10 @@ class CostModel
 };
 
 /**
- * Flat per-(scheme, windows) cost tables for the replay fast path
- * (win/engine_fast.h): every CostModel lookup a specialized event loop
- * performs, precomputed into dense arrays indexed by windows moved.
+ * Flat per-(scheme, windows) cost tables for the production replay
+ * view (win/engine_batch.h): every CostModel lookup a specialized
+ * event loop performs, precomputed into dense arrays indexed by
+ * windows moved.
  * One instance is built per replay point — the scheme kind and window
  * count are fixed for the whole run, so the trap-cost formulae and the
  * per-scheme switch-cost line collapse to loads.

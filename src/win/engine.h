@@ -131,9 +131,6 @@ struct ThreadCounters
     std::uint64_t switchesIn = 0;
 };
 
-template <typename SchemeT, typename ObserverPolicy>
-class FastEngineView;
-
 template <typename SchemeT>
 class BatchedEngineView;
 
@@ -146,11 +143,12 @@ class BatchedEngineView;
  *
  * Dispatch: the member event functions go through the virtual Scheme
  * interface — this is the *oracle* path, the reference semantics every
- * specialization is differentially tested against. The replay fast
- * path (win/engine_fast.h) instantiates the same event bodies with the
- * concrete scheme class resolved at compile time; it accesses the
- * engine's internals through the FastEngineView friend below and must
- * stay bit-identical to the oracle (tests/win/test_fast_replay.cc).
+ * specialization is differentially tested against. The production
+ * replay path (win/engine_batch.h) instantiates the same event bodies
+ * with the concrete scheme class resolved at compile time; it accesses
+ * the engine's internals through the BatchedEngineView friend below
+ * and must stay bit-identical to the oracle
+ * (tests/win/test_batch_replay.cc).
  */
 class WindowEngine
 {
@@ -244,9 +242,6 @@ class WindowEngine
     std::uint64_t switchCaseCount(int saved, int restored) const;
 
   private:
-    template <typename SchemeT, typename ObserverPolicy>
-    friend class FastEngineView;
-
     template <typename SchemeT>
     friend class BatchedEngineView;
 

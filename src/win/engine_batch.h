@@ -1,83 +1,97 @@
 /**
  * @file
- * BatchedEngineView: the lockstep sibling of FastEngineView
- * (engine_fast.h). One view fronts an array of up to K WindowEngines
- * that replay the same FlatTrace under the same schedule, so one
- * forward pass over the trace advances all K engine states.
+ * BatchedEngineView: the statically-specialized engine event path of
+ * every production replay (trace/replay_batch.cc). One view fronts an
+ * array of K >= 1 WindowEngines that replay the same FlatTrace under
+ * the same schedule, so one forward pass over the trace advances all
+ * K engine states; a per-point replay is the width-1 case.
  *
- * Why this is sound: the replay state machine's control flow (dispatch
- * order, stream blocking, thread scripts) never reads engine state
- * except at one point — working-set queue placement consults
+ * Lane 0 (the leader) advances inline with the control loop. Each of
+ * its event methods is the same body as the corresponding
+ * WindowEngine member (engine.cc — the oracle), with compile-time
+ * specializations applied:
+ *
+ *  - the Scheme handler is called on the concrete final class
+ *    (schemes_impl.h), so it devirtualizes and inlines into the
+ *    caller's event loop;
+ *  - CostModel lookups go through precomputed FlatCostTables
+ *    (cost_model.h), one dense array per cost family;
+ *  - the Checked = false flavor of the scheme event bodies is
+ *    instantiated: structural assertions are not evaluated on this
+ *    path (see the policy note in win/window_file.h); the oracle
+ *    keeps them all.
+ *
+ * The leader writes its engine's own counters and clock through
+ * friendship, so a run driven through the view is indistinguishable —
+ * bit-for-bit, including the switch-cost Distribution's summation
+ * order — from one driven through the engine members. There is no
+ * observer hook and no postEventCheck(): engines that carry an
+ * observer or checkInvariants replay on the oracle loop
+ * (trace/replay_driver.h), and the view refuses them.
+ *
+ * Why K > 1 is sound: the replay state machine's control flow
+ * (dispatch order, stream blocking, thread scripts) never reads engine
+ * state except at one point — working-set queue placement consults
  * isResident() at wake time. Under FIFO the placement ignores
  * residency entirely, so every lane follows the identical schedule no
  * matter how its window count, PRW reclamation or allocation policy
  * differ; under working-set the batch runs optimistically and every
  * residency read is re-verified on every lane (below), aborting the
- * batch on the first disagreement. Within that contract, per-lane
- * state evolves exactly as K independent FastEngineView runs would.
+ * batch on the first disagreement.
  *
- * Execution is leader/follower rather than per-event interleaved:
+ * Followers: while the leader runs, the view records the *engine op
+ * stream* — the sequence of save/restore/switch/exit events plus,
+ * under working-set, the residency checkpoints. Charges never enter
+ * the stream; they are lane-invariant trace operands. finish() then
+ * replays the recorded stream through the followers, in one of two
+ * pass shapes:
  *
- *  - Lane 0 (the leader) advances inline with the control loop — it is
- *    the lane whose clock and call depths the tracker and the
- *    working-set wakes read — while the view records the *engine op
- *    stream*: the sequence of save/restore/switch/exit events plus,
- *    under working-set, the residency checkpoints. Charges never enter
- *    the stream; they are lane-invariant trace operands and accumulate
- *    in one shared counter.
- *  - finish() then replays the recorded stream through the followers.
- *    Two pass shapes exist, selected by effectiveSimdTier()
- *    (win/simd.h, $CRW_SIMD):
+ *   Per lane — one tight linear pass over the op array per follower,
+ *   the lane's window file cache-hot and the branch predictor seeing
+ *   one lane's trap pattern at a time. The scalar tier, and always
+ *   the sharing schemes (SNP, SP).
  *
- *      Scalar — the PR 7 oracle: one tight linear pass over the op
- *      array per follower lane, the lane's window file cache-hot and
- *      the branch predictor seeing one lane's trap pattern at a time.
+ *   Lane-SoA — NS and INF on the vector tiers (DESIGN.md §16,
+ *   $CRW_SIMD): the followers' hot state is transposed into the
+ *   lane-major arrays of win/lane_soa.h and ONE walk over the stream
+ *   applies each op to every lane at once. Runs of same-thread
+ *   saves/restores collapse into single calls of the closed-form
+ *   kernels (win/scheme.h RunFold math, vectorized 4- or 8-wide);
+ *   switches and exits stay scalar per lane against the transposed
+ *   state. The per-lane engines are only touched again at writeback,
+ *   which materializes the SoA state through the WindowFile import
+ *   primitives. Both shapes are bit-identical by construction — the
+ *   SoA recurrences are the proven closed forms of the scalar bodies —
+ *   and the differential suite pins them against each other.
  *
- *      Sse2/Avx2 — the lane-SoA pass (DESIGN.md §16): the followers'
- *      hot state is transposed into the lane-major arrays of
- *      win/lane_soa.h and ONE walk over the stream applies each op to
- *      every lane at once. Runs of same-thread saves/restores collapse
- *      into single calls of the closed-form kernels (win/scheme.h
- *      RunFold math, vectorized 4- or 8-wide); switches, exits and the
- *      sharing schemes' eviction probes stay scalar per lane against
- *      the transposed state. The per-lane engines are only touched
- *      again at writeback, which materializes the SoA state through
- *      the WindowFile import primitives. Both shapes are bit-identical
- *      by construction — the SoA recurrences are the proven closed
- *      forms of the scalar bodies — and the differential suite pins
- *      them against each other.
+ *   A follower that disagrees with a recorded residency checkpoint
+ *   would have forked the schedule at that wake, so finish() returns
+ *   false and the caller discards the whole batch (the executor
+ *   re-replays those points individually).
  *
- *    A follower that disagrees with a recorded residency checkpoint
- *    would have forked the schedule at that wake, so finish() returns
- *    false and the caller discards the whole batch (the executor
- *    re-replays those points individually).
- *
- * Everything the shared schedule makes lane-invariant is accumulated
- * once, in shared scalars, and folded into each lane at finish():
- * charge cycles, the save/restore/switch/exit event counts, the plain
- * save/restore cost (psr × event count — per-lane psr, shared count),
- * and the per-thread tallies. The per-op work that remains on each
- * lane is exactly the divergent residue: the scheme's window motion
- * and the trap/switch costs it implies. Consequently a lane's clock
+ * Everything the shared schedule makes lane-invariant — charge
+ * cycles, the save/restore/switch/exit event counts and the
+ * per-thread tallies — a follower takes from the leader at finish(),
+ * as the leader engine's deltas from a snapshot taken when the view
+ * was built. The per-op work that remains on each follower is exactly
+ * the divergent residue: the scheme's window motion and the
+ * trap/switch costs it implies. Consequently a follower's clock
  * decomposes as
  *
- *   now(l) = charges + psr(l)·(saves+restores) + offset(l)
+ *   now(l) = offset(l) + charges + psr(l)·(saves+restores)
  *
- * with offset(l) accumulating only that lane's trap and switch costs —
- * all integer arithmetic, so the decomposition is exact and the
- * flushed state is bit-identical to a per-point replay's.
- *
- * Observer-carrying and checkInvariants engines are refused: batched
- * replay is for headless sweep points only, and the driver layer
- * falls back to the per-point paths for everything else.
+ * with offset(l) starting at the lane's clock and accumulating only
+ * its trap and switch costs — all integer arithmetic, so the
+ * decomposition is exact and the flushed state is bit-identical to a
+ * per-point replay's.
  */
 
 #ifndef CRW_WIN_ENGINE_BATCH_H_
 #define CRW_WIN_ENGINE_BATCH_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -90,47 +104,73 @@
 
 namespace crw {
 
+namespace detail {
+
+/**
+ * One recorded engine op, packed to eight bytes so a follower pass
+ * streams the fewest possible cache lines (charges never enter the
+ * stream, and the lane-invariant counts come from the leader).
+ */
+struct BatchOpRec
+{
+    enum class Kind : std::uint8_t {
+        Save,
+        Restore,
+        Switch,
+        Exit,
+        WakeCheck,
+    };
+    Kind kind;
+    std::uint8_t resident; ///< WakeCheck only: leader's answer
+    std::int16_t a;        ///< op tid, or switch-from
+    std::int16_t b;        ///< switch-to
+    std::uint16_t pad = 0;
+};
+static_assert(sizeof(BatchOpRec) == 8, "op stream packing");
+
+/**
+ * The calling thread's op stream, reused by every batch the thread
+ * replays (one batch runs at a time per thread). A stream is several
+ * megabytes per spell trace; allocated and freed once per batch, such
+ * buffers left the heap's high-water mark to drift with wherever
+ * unrelated small allocations landed between them, so a sweep's peak
+ * resident memory depended on allocation order.
+ */
+inline AlignedVec<BatchOpRec> &
+threadOpStream()
+{
+    thread_local AlignedVec<BatchOpRec> ops;
+    return ops;
+}
+
+} // namespace detail
+
 template <typename SchemeT>
 class BatchedEngineView
 {
   public:
     /**
-     * @param engines K engines sharing scheme kind; window counts and
-     *        PRW/allocation variants may differ per lane. None may
-     *        carry an observer or checkInvariants (oracle-only
-     *        features), and all must be at the same point of the
-     *        schedule (freshly constructed, same registered threads).
+     * @param leader Lane 0's engine.
+     * @param followers The other @p lanes - 1 engines. All K share the
+     *        scheme kind; window counts and PRW/allocation variants
+     *        may differ per lane. None may carry an observer or
+     *        checkInvariants (oracle-only features), and all must be
+     *        at the same point of the schedule (freshly constructed,
+     *        same registered threads).
      */
-    BatchedEngineView(WindowEngine *const *engines, std::size_t lanes)
-        : lanes_(lanes)
+    BatchedEngineView(WindowEngine &leader,
+                      WindowEngine *const *followers, std::size_t lanes)
+        : e_(leader),
+          s_(static_cast<SchemeT &>(*e_.scheme_)),
+          t_(e_.cost_, e_.kind_, e_.file_.numWindows())
     {
         crw_assert(lanes > 0);
-        e_.reserve(lanes);
-        s_.reserve(lanes);
-        t_.reserve(lanes);
-        hot_.reserve(lanes);
-        offset_.reserve(lanes);
-        psr_.reserve(lanes);
-        for (std::size_t l = 0; l < lanes; ++l) {
-            WindowEngine &e = *engines[l];
-            crw_assert(e.kind_ == engines[0]->kind_);
-            crw_assert(!e.checkInvariants_);
-            crw_assert(!e.observer_);
-            crw_assert(e.current_ == engines[0]->current_);
-            crw_assert(e.threadCounters_.size() ==
-                       engines[0]->threadCounters_.size());
-            e_.push_back(&e);
-            s_.push_back(static_cast<SchemeT *>(e.scheme_.get()));
-            crw_assert(s_.back()->kind() == e.kind_);
-            t_.emplace_back(e.cost_, e.kind_, e.file_.numWindows());
-            hot_.push_back(e.hot_);
-            offset_.push_back(e.now_);
-            psr_.push_back(t_.back().plainSaveRestore());
-        }
-        current_ = engines[0]->current_;
-        threadSaves_.resize(engines[0]->threadCounters_.size());
-        threadRestores_.resize(threadSaves_.size());
-        threadSwitchesIn_.resize(threadSaves_.size());
+        crw_assert(s_.kind() == e_.kind_);
+        crw_assert(!e_.checkInvariants_);
+        crw_assert(!e_.observer_);
+        if (lanes > 1)
+            followers_ =
+                std::make_unique<Followers>(leader, followers, lanes);
     }
 
     /**
@@ -141,71 +181,79 @@ class BatchedEngineView
     void
     reserveOps(std::size_t trace_events)
     {
-        if (lanes_ > 1)
-            ops_.reserve(trace_events / 2);
+        if (followers_)
+            followers_->ops.reserve(trace_events / 2);
     }
 
     void
     save()
     {
-        crw_assert(current_ != kNoThread);
-        ++threadSaves_[static_cast<std::size_t>(current_)];
-        ++sharedSaves_;
-        const OpOutcome out =
-            s_[0]->template doSave<false>(current_);
+        crw_assert(e_.current_ != kNoThread);
+        const ThreadId tid = e_.current_;
+        const OpOutcome out = s_.template doSave<false>(tid);
+
+        ++e_.hot_.saves;
+        ++e_.threadCounters_[static_cast<std::size_t>(tid)].saves;
+        Cycles cycles = t_.plainSaveRestore();
         if (out.trapped)
-            chargeOverflow(0, out.windowsSaved);
-        if (lanes_ > 1)
-            record(OpRec::Kind::Save, current_, kNoThread);
+            cycles += overflowTrap(e_.hot_, t_, out.windowsSaved);
+        e_.hot_.cyclesCallret += t_.plainSaveRestore();
+        e_.now_ += cycles;
+        if (followers_)
+            followers_->record(OpRec::Kind::Save, tid, kNoThread);
     }
 
     void
     restore()
     {
-        crw_assert(current_ != kNoThread);
-        ++threadRestores_[static_cast<std::size_t>(current_)];
-        ++sharedRestores_;
-        const OpOutcome out =
-            s_[0]->template doRestore<false>(current_);
+        crw_assert(e_.current_ != kNoThread);
+        const ThreadId tid = e_.current_;
+        const OpOutcome out = s_.template doRestore<false>(tid);
+
+        ++e_.hot_.restores;
+        ++e_.threadCounters_[static_cast<std::size_t>(tid)].restores;
+        Cycles cycles = t_.plainSaveRestore();
         if (out.trapped)
-            chargeUnderflow(0, out.windowsRestored);
-        if (lanes_ > 1)
-            record(OpRec::Kind::Restore, current_, kNoThread);
+            cycles += underflowTrap(e_.hot_, t_, out.windowsRestored);
+        e_.hot_.cyclesCallret += t_.plainSaveRestore();
+        e_.now_ += cycles;
+        if (followers_)
+            followers_->record(OpRec::Kind::Restore, tid, kNoThread);
     }
 
-    /**
-     * Switch every lane to @p to. The leader's switch span is kept in
-     * switchBegin(0) .. now(0) for the tracker; followers re-derive
-     * their own costs during replay.
-     */
+    /** Switch every lane to @p to; followers re-derive their costs. */
     void
     contextSwitch(ThreadId to)
     {
-        crw_assert(to != current_);
-        const ThreadId from = current_;
-        current_ = to;
-        ++threadSwitchesIn_[static_cast<std::size_t>(to)];
-        ++sharedSwitches_;
-        switchBegin0_ = now(0);
-        applySwitch(s_[0], t_[0], *e_[0], hot_[0], offset_[0], from,
-                    to);
-        if (lanes_ > 1)
-            record(OpRec::Kind::Switch, from, to);
+        crw_assert(to != e_.current_);
+        const ThreadId from = e_.current_;
+        e_.now_ += applySwitch(s_, t_, e_, e_.hot_, from, to);
+        e_.current_ = to;
+        ++e_.hot_.switches;
+        ++e_.threadCounters_[static_cast<std::size_t>(to)].switchesIn;
+        if (followers_)
+            followers_->record(OpRec::Kind::Switch, from, to);
     }
 
     void
     threadExit()
     {
-        crw_assert(current_ != kNoThread);
-        ++sharedExits_;
-        s_[0]->template doExit<false>(current_);
-        if (lanes_ > 1)
-            record(OpRec::Kind::Exit, current_, kNoThread);
-        current_ = kNoThread;
+        crw_assert(e_.current_ != kNoThread);
+        s_.template doExit<false>(e_.current_);
+        ++e_.stats_.counter("thread_exits");
+        if (followers_)
+            followers_->record(OpRec::Kind::Exit, e_.current_,
+                               kNoThread);
+        e_.current_ = kNoThread;
     }
 
-    /** Charges are lane-invariant: one add advances every clock. */
-    void charge(Cycles cycles) { charges_ += cycles; }
+    /** Charges are lane-invariant: only the leader's clock moves. */
+    void
+    charge(Cycles cycles)
+    {
+        e_.hot_.cyclesCompute += cycles;
+        e_.now_ += cycles;
+    }
 
     /**
      * Working-set wake support: the leader's residency of @p tid (the
@@ -214,289 +262,108 @@ class BatchedEngineView
      * disagreement there means that lane's schedule would have forked
      * at this wake, and finish() reports the batch as diverged.
      */
-    bool
-    resident(ThreadId tid) const
-    {
-        return e_[0]->isResident(tid);
-    }
+    bool resident(ThreadId tid) const { return e_.isResident(tid); }
 
     void
     recordWakeCheck(ThreadId tid, bool leader_resident)
     {
-        if (lanes_ > 1) {
-            record(OpRec::Kind::WakeCheck, tid, kNoThread);
-            ops_.back().resident = leader_resident ? 1 : 0;
-        }
+        if (followers_)
+            followers_->record(OpRec::Kind::WakeCheck, tid, kNoThread,
+                               leader_resident);
     }
 
-    ThreadId current() const { return current_; }
-    std::size_t lanes() const { return lanes_; }
+    ThreadId current() const { return e_.current_; }
 
-    /** Leader clock; only lane 0 is live before finish(). */
-    Cycles
-    now(std::size_t lane) const
-    {
-        crw_assert(lane == 0);
-        return charges_ +
-               psr_[0] * (sharedSaves_ + sharedRestores_) + offset_[0];
-    }
-    Cycles
-    switchBegin(std::size_t lane) const
-    {
-        crw_assert(lane == 0);
-        return switchBegin0_;
-    }
+    /** Leader clock; followers are only live after finish(). */
+    Cycles now() const { return e_.now_; }
 
     /**
      * Call depth of @p tid. Depth is pure call nesting — every scheme
      * pushes/pops exactly one frame per save/restore — so it is
      * identical across lanes; the leader answers for all.
      */
-    int
-    depth(ThreadId tid) const
-    {
-        return e_[0]->file_.thread(tid).depth;
-    }
+    int depth(ThreadId tid) const { return e_.file_.thread(tid).depth; }
 
     /**
      * The follower pass finish() actually dispatched: the SoA tier it
-     * ran, or Scalar when the per-lane oracle handled the followers
-     * (scalar tier, the sharing schemes' auto pin, or a width-1 batch
-     * that replays nothing). What replay.simd_path publishes.
+     * ran, or Scalar when the per-lane pass handled the followers
+     * (scalar tier, the sharing schemes, or a width-1 batch that
+     * replays nothing). What replay.simd_path publishes.
      */
     SimdTier
     simdPathTaken() const
     {
-        return simdPathTaken_;
+        return followers_ ? followers_->simdPathTaken : SimdTier::Scalar;
     }
 
     /**
      * Replay the recorded op stream through every follower lane, then
-     * flush the accumulated clocks/counters back into the engines.
-     * Call exactly once, when the control loop has drained.
+     * flush the leader's lane-invariant tallies into them. Call
+     * exactly once, when the control loop has drained.
      *
      * @return false when a follower disagreed with a recorded
      *         residency checkpoint (working-set divergence): nothing
      *         is flushed and every lane's engine must be discarded.
      */
-    bool
-    finish()
-    {
-        if (lanes_ > 1) {
-            const SimdTier tier = effectiveSimdTier();
-            if (tier == SimdTier::Scalar) {
-                // The oracle shape: one lane per stream pass, so the
-                // branch predictor sees a single lane's trap pattern
-                // per pass (pairing lanes was measured slower — the
-                // per-op trap branches alias across lanes and
-                // mispredict).
-                for (std::size_t l = 1; l < lanes_; ++l)
-                    if (!replayLanes<1>({l}))
-                        return false;
-            } else if (kSoaIsSharing && !simdTierExplicit()) {
-                // `auto` pins the sharing schemes to the per-lane
-                // oracle: their slot-map eviction probes are serial
-                // per lane, and interleaving lanes in one walk loses
-                // ~25% to cross-lane branch aliasing regardless of
-                // shape (measured for both the SoA translation and
-                // width-4 AoS blocks; DESIGN.md §16). An explicit
-                // $CRW_SIMD=avx2/sse2 (or a test override) still
-                // forces the SoA pass so the sharing translation
-                // stays a live, differentially-pinned code path.
-                for (std::size_t l = 1; l < lanes_; ++l)
-                    if (!replayLanes<1>({l}))
-                        return false;
-            } else {
-                simdPathTaken_ = tier;
-                if (!replaySoa(tier))
-                    return false;
-            }
-        }
-        const std::uint64_t sr = sharedSaves_ + sharedRestores_;
-        for (std::size_t l = 0; l < lanes_; ++l) {
-            WindowEngine &e = *e_[l];
-            WindowEngine::HotCounters &h = hot_[l];
-            h.saves += sharedSaves_;
-            h.restores += sharedRestores_;
-            h.switches += sharedSwitches_;
-            h.cyclesCallret += psr_[l] * sr;
-            h.cyclesCompute += charges_;
-            e.hot_ = h;
-            e.now_ = charges_ + psr_[l] * sr + offset_[l];
-            e.current_ = current_;
-            e.stats_.counter("thread_exits") += sharedExits_;
-            for (std::size_t tid = 0; tid < threadSaves_.size();
-                 ++tid) {
-                ThreadCounters &tc = e.threadCounters_[tid];
-                tc.saves += threadSaves_[tid];
-                tc.restores += threadRestores_[tid];
-                tc.switchesIn += threadSwitchesIn_[tid];
-            }
-        }
-        return true;
-    }
+    bool finish() { return !followers_ || followers_->finish(e_); }
 
   private:
-    /**
-     * One recorded engine op, packed to eight bytes so a follower pass
-     * streams the fewest possible cache lines (charges never enter the
-     * stream, and the lane-invariant counts live in shared scalars).
-     */
-    struct OpRec
-    {
-        enum class Kind : std::uint8_t {
-            Save,
-            Restore,
-            Switch,
-            Exit,
-            WakeCheck,
-        };
-        Kind kind;
-        std::uint8_t resident; ///< WakeCheck only: leader's answer
-        std::int16_t a;        ///< op tid, or switch-from
-        std::int16_t b;        ///< switch-to
-        std::uint16_t pad = 0;
-    };
-    static_assert(sizeof(OpRec) == 8, "op stream packing");
-
-    void
-    record(typename OpRec::Kind kind, ThreadId a, ThreadId b)
-    {
-        crw_assert(a >= INT16_MIN && a <= INT16_MAX);
-        crw_assert(b >= INT16_MIN && b <= INT16_MAX);
-        ops_.push_back({kind, 0, static_cast<std::int16_t>(a),
-                        static_cast<std::int16_t>(b)});
-    }
+    using OpRec = detail::BatchOpRec;
 
     // The divergent per-op residue, shared verbatim by the leader
-    // (l = 0, inline with the control loop) and the follower replay.
+    // (inline with the control loop) and the follower replay. Each
+    // returns the cycles the caller's clock advances by.
 
-    void
-    chargeOverflow(std::size_t l, int windows_saved)
+    static Cycles
+    overflowTrap(WindowEngine::HotCounters &h, const FlatCostTables &t,
+                 int windows_saved)
     {
-        WindowEngine::HotCounters &h = hot_[l];
         ++h.ovfTraps;
         h.ovfSpilled += static_cast<std::uint64_t>(windows_saved);
-        const Cycles trap = t_[l].overflowCost(windows_saved);
+        const Cycles trap = t.overflowCost(windows_saved);
         h.cyclesTrap += trap;
-        offset_[l] += trap;
+        return trap;
     }
 
-    void
-    chargeUnderflow(std::size_t l, int windows_restored)
+    static Cycles
+    underflowTrap(WindowEngine::HotCounters &h, const FlatCostTables &t,
+                  int windows_restored)
     {
-        WindowEngine::HotCounters &h = hot_[l];
         ++h.unfTraps;
         h.unfRestored += static_cast<std::uint64_t>(windows_restored);
-        const Cycles trap = t_[l].underflowCost();
+        const Cycles trap = t.underflowCost();
         h.cyclesTrap += trap;
-        offset_[l] += trap;
+        return trap;
     }
 
-    static void
-    applySwitch(SchemeT *s, const FlatCostTables &t, WindowEngine &e,
-                WindowEngine::HotCounters &h, Cycles &offset,
-                ThreadId from, ThreadId to)
+    static Cycles
+    applySwitch(SchemeT &s, const FlatCostTables &t, WindowEngine &e,
+                WindowEngine::HotCounters &h, ThreadId from,
+                ThreadId to)
     {
         crw_assert(e.file_.hasThread(to));
         const SwitchOutcome out =
-            s->template doSwitchIn<false>(from, to);
-        h.switchSaved += static_cast<std::uint64_t>(out.windowsSaved);
-        h.switchRestored +=
-            static_cast<std::uint64_t>(out.windowsRestored);
-        if (out.windowsSaved < WindowEngine::kSmallSwitchCase &&
-            out.windowsRestored < WindowEngine::kSmallSwitchCase)
-            ++e.switchCasesSmall_[out.windowsSaved]
-                                 [out.windowsRestored];
-        else
-            ++e.switchCasesLarge_[{out.windowsSaved,
-                                   out.windowsRestored}];
-        const Cycles cycles =
-            t.switchCost(out.windowsSaved, out.windowsRestored);
-        h.cyclesSwitch += cycles;
-        e.dSwitchCost_->sample(static_cast<double>(cycles));
-        offset += cycles;
+            s.template doSwitchIn<false>(from, to);
+        return chargeSwitch(t, e, h, out.windowsSaved,
+                            out.windowsRestored);
     }
 
-    /**
-     * The follower pass: one linear walk over the op stream applying
-     * N lanes' scheme bodies against local (alias-free) state. The
-     * inner per-lane loops fully unroll (N is a compile-time
-     * constant). Per-lane event order — and with it the switch-cost
-     * Distribution's sample order and the switch-case histograms —
-     * matches a per-point replay exactly, because the stream *is* the
-     * shared schedule restricted to engine ops.
-     */
-    template <std::size_t N>
-    bool
-    replayLanes(const std::array<std::size_t, N> &ls)
+    /** applySwitch's tally residue, also used by the SoA pass. */
+    static Cycles
+    chargeSwitch(const FlatCostTables &t, WindowEngine &e,
+                 WindowEngine::HotCounters &h, int saved, int restored)
     {
-        SchemeT *s[N];
-        const FlatCostTables *t[N];
-        WindowEngine *e[N];
-        WindowEngine::HotCounters h[N];
-        Cycles offset[N];
-        for (std::size_t j = 0; j < N; ++j) {
-            s[j] = s_[ls[j]];
-            t[j] = &t_[ls[j]];
-            e[j] = e_[ls[j]];
-            h[j] = hot_[ls[j]];
-            offset[j] = offset_[ls[j]];
-        }
-        for (const OpRec &op : ops_) {
-            switch (op.kind) {
-              case OpRec::Kind::Save:
-                for (std::size_t j = 0; j < N; ++j) {
-                    const OpOutcome out =
-                        s[j]->template doSave<false>(op.a);
-                    if (out.trapped) {
-                        ++h[j].ovfTraps;
-                        h[j].ovfSpilled += static_cast<std::uint64_t>(
-                            out.windowsSaved);
-                        const Cycles trap =
-                            t[j]->overflowCost(out.windowsSaved);
-                        h[j].cyclesTrap += trap;
-                        offset[j] += trap;
-                    }
-                }
-                break;
-              case OpRec::Kind::Restore:
-                for (std::size_t j = 0; j < N; ++j) {
-                    const OpOutcome out =
-                        s[j]->template doRestore<false>(op.a);
-                    if (out.trapped) {
-                        ++h[j].unfTraps;
-                        h[j].unfRestored += static_cast<std::uint64_t>(
-                            out.windowsRestored);
-                        const Cycles trap = t[j]->underflowCost();
-                        h[j].cyclesTrap += trap;
-                        offset[j] += trap;
-                    }
-                }
-                break;
-              case OpRec::Kind::Switch:
-                for (std::size_t j = 0; j < N; ++j)
-                    applySwitch(s[j], *t[j], *e[j], h[j], offset[j],
-                                op.a, op.b);
-                break;
-              case OpRec::Kind::Exit:
-                for (std::size_t j = 0; j < N; ++j)
-                    s[j]->template doExit<false>(op.a);
-                break;
-              case OpRec::Kind::WakeCheck:
-                // A mismatch abandons the local state unsaved; every
-                // lane is garbage anyway once the batch diverges.
-                for (std::size_t j = 0; j < N; ++j)
-                    if (e[j]->isResident(op.a) != (op.resident != 0))
-                        return false;
-                break;
-            }
-        }
-        for (std::size_t j = 0; j < N; ++j) {
-            hot_[ls[j]] = h[j];
-            offset_[ls[j]] = offset[j];
-        }
-        return true;
+        h.switchSaved += static_cast<std::uint64_t>(saved);
+        h.switchRestored += static_cast<std::uint64_t>(restored);
+        if (saved < WindowEngine::kSmallSwitchCase &&
+            restored < WindowEngine::kSmallSwitchCase)
+            ++e.switchCasesSmall_[saved][restored];
+        else
+            ++e.switchCasesLarge_[{saved, restored}];
+        const Cycles cycles = t.switchCost(saved, restored);
+        h.cyclesSwitch += cycles;
+        e.dSwitchCost_->sample(static_cast<double>(cycles));
+        return cycles;
     }
 
     // Scheme shape traits of the SoA pass.
@@ -504,594 +371,428 @@ class BatchedEngineView
         std::is_same_v<SchemeT, detail::InfiniteScheme>;
     static constexpr bool kSoaIsNs =
         std::is_same_v<SchemeT, detail::NsScheme>;
-    static constexpr bool kSoaIsSp =
-        std::is_same_v<SchemeT, detail::SpScheme>;
-    static constexpr bool kSoaIsSharing = !kSoaIsInf && !kSoaIsNs;
 
     /**
-     * The lane-SoA follower pass (DESIGN.md §16): transpose the
-     * followers' hot state into win/lane_soa.h arrays, walk the op
-     * stream ONCE applying each op to every lane — same-thread
-     * save/restore runs through the tier's vector kernels, switches /
-     * exits / eviction probes scalar per lane against the transposed
-     * state — then materialize the surviving state back into the
-     * engines. Bit-identity with replayLanes<1> is by construction:
-     * every recurrence here is the closed form of the corresponding
-     * scalar scheme body (win/scheme.h RunFold derivations, and the
-     * slot-walk translations documented inline below), and the
-     * differential suite pins the two passes against each other.
-     *
-     * @return false on a working-set residency mismatch; nothing is
-     *         written back (the engines are discarded wholesale).
+     * The follower lanes of a width > 1 batch and the op stream they
+     * replay, allocated only for such a batch: a width-1 view — every
+     * per-point replay — carries no follower state, snapshot or
+     * stream, just a null pointer tested per event.
      */
-    bool
-    replaySoa(SimdTier tier)
+    class Followers
     {
-        const LaneKernels &kern = laneKernels(tier);
-        const std::size_t nl = lanes_ - 1; // follower lanes
-        const int threads = static_cast<int>(threadSaves_.size());
-        crw_assert(threads * 2 + 1 <= INT16_MAX); // slot encoding
-
-        LaneSoA soa;
-        soa.init(nl, threads);
-
-        // --- transpose --------------------------------------------
-        // Followers were never touched by the control loop, so their
-        // files still hold the batch's start state. The shared call
-        // depths come from lane 1: depth is pure call nesting and the
-        // lockstep contract makes it lane-invariant.
-        int max_win = 1;
-        for (std::size_t l = 1; l < lanes_; ++l) {
-            const std::size_t j = l - 1;
-            const WindowFile &f = e_[l]->file_;
-            soa.numWin[j] = f.numWindows();
-            soa.nsCap[j] = f.numWindows() - 1;
-            const Cycles ovf1 = t_[l].overflowCost(1);
-            const Cycles unf = t_[l].underflowCost();
-            // The vector tally fold multiplies traps by cost in one
-            // 32x32->64 lane product.
-            crw_assert(ovf1 <= UINT32_MAX && unf <= UINT32_MAX);
-            soa.ovfCost1[j] = ovf1;
-            soa.unfCost[j] = unf;
-            if (f.numWindows() > max_win)
-                max_win = f.numWindows();
-            for (ThreadId tid = 0; tid < threads; ++tid) {
-                const ThreadWindows &tw = f.thread(tid);
-                soa.topOf(tid)[j] = tw.top;
-                soa.resOf(tid)[j] = tw.resident;
-                soa.prwOf(tid)[j] = tw.prw;
-            }
-        }
-        std::vector<int> depth(static_cast<std::size_t>(threads));
-        for (ThreadId tid = 0; tid < threads; ++tid)
-            depth[static_cast<std::size_t>(tid)] =
-                e_[1]->file_.thread(tid).depth;
-
-        // Sharing-scheme side state: the per-lane slot map (i16 per
-        // slot: -1 free, tid*2 owned, tid*2+1 PRW), allocation cursor
-        // and policy knobs. Scalar-access only, so no padding.
-        const std::size_t stride = static_cast<std::size_t>(max_win);
-        std::vector<std::int16_t> slots16;
-        std::vector<WindowIndex> alloc_hint;
-        std::vector<PrwReclaim> reclaim;
-        std::vector<AllocPolicy> alloc;
-        if constexpr (kSoaIsSharing) {
-            slots16.assign(nl * stride, -1);
-            alloc_hint.resize(nl);
-            reclaim.resize(nl);
-            alloc.resize(nl);
-            for (std::size_t l = 1; l < lanes_; ++l) {
-                const std::size_t j = l - 1;
-                const WindowFile &f = e_[l]->file_;
-                for (WindowIndex w = 0; w < f.numWindows(); ++w) {
-                    const WindowSlot &ws = f.slot(w);
-                    if (ws.state == WinState::Owned)
-                        slots16[j * stride +
-                                static_cast<std::size_t>(w)] =
-                            static_cast<std::int16_t>(ws.owner * 2);
-                    else if (ws.state == WinState::Prw)
-                        slots16[j * stride +
-                                static_cast<std::size_t>(w)] =
-                            static_cast<std::int16_t>(ws.owner * 2 +
-                                                      1);
-                }
-                alloc_hint[j] = s_[l]->allocHintForReplay();
-                reclaim[j] = s_[l]->prwReclaim();
-                alloc[j] = s_[l]->allocPolicy();
+      public:
+        Followers(WindowEngine &leader, WindowEngine *const *followers,
+                  std::size_t lanes)
+            : ops(detail::threadOpStream()),
+              startHot_(leader.hot_),
+              startThreads_(leader.threadCounters_),
+              startExits_(leader.stats_.counter("thread_exits").value())
+        {
+            ops.clear();
+            lanes_.reserve(lanes - 1);
+            for (std::size_t l = 1; l < lanes; ++l) {
+                WindowEngine &e = *followers[l - 1];
+                crw_assert(e.kind_ == leader.kind_);
+                crw_assert(!e.checkInvariants_);
+                crw_assert(!e.observer_);
+                crw_assert(e.current_ == leader.current_);
+                crw_assert(e.threadCounters_.size() ==
+                           leader.threadCounters_.size());
+                Lane f{&e, static_cast<SchemeT *>(e.scheme_.get()),
+                       FlatCostTables(e.cost_, e.kind_,
+                                      e.file_.numWindows()),
+                       e.hot_, e.now_, 0};
+                f.psr = f.t.plainSaveRestore();
+                lanes_.push_back(std::move(f));
             }
         }
 
-        // --- per-lane cyclic/slot helpers -------------------------
-        auto aboveAt = [&soa](std::size_t j, int w) {
-            return w == 0 ? soa.numWin[j] - 1 : w - 1;
-        };
-        auto belowAt = [&soa](std::size_t j, int w) {
-            return w + 1 == soa.numWin[j] ? 0 : w + 1;
-        };
-        auto wrapAt = [&soa](std::size_t j, int x) {
-            const int n = soa.numWin[j];
-            x %= n;
-            return x < 0 ? x + n : x;
-        };
-        auto slotAt = [&](std::size_t j, int w) -> std::int16_t & {
-            return slots16[j * stride + static_cast<std::size_t>(w)];
-        };
+        void
+        record(OpRec::Kind kind, ThreadId a, ThreadId b,
+               bool resident = false)
+        {
+            crw_assert(a >= INT16_MIN && a <= INT16_MAX);
+            crw_assert(b >= INT16_MIN && b <= INT16_MAX);
+            ops.push_back({kind, static_cast<std::uint8_t>(resident),
+                           static_cast<std::int16_t>(a),
+                           static_cast<std::int16_t>(b)});
+        }
 
-        // --- scalar scheme bodies against the SoA state -----------
-        // Each is a line-for-line translation of the corresponding
-        // schemes_impl.h body with WindowFile primitives expanded
-        // into slot-map/cursor assignments.
+        /**
+         * BatchedEngineView::finish() for width > 1, against the
+         * drained @p leader. Out of line: it runs once per batch and
+         * must not bloat the flattened loop around the hot events.
+         */
+        __attribute__((noinline)) bool
+        finish(WindowEngine &leader)
+        {
+            if (!replay())
+                return false;
 
-        auto chargeOvfAt = [&](std::size_t j, int spilled) {
-            soa.ovfTraps[j] += 1;
-            soa.ovfSpilled[j] += static_cast<std::uint64_t>(spilled);
-            const Cycles c = t_[j + 1].overflowCost(spilled);
-            soa.cyclesTrap[j] += c;
-            soa.offset[j] += c;
-        };
-
-        // SharingSchemeBase::evict — free / orphaned-PRW / bottom
-        // spill, including the non-Lazy PRW reclamation of a victim
-        // that just lost its whole run. @p srow is lane j's slot row
-        // (&slots16[j * stride]), hoisted by the caller so the hot
-        // save loop never recomputes the row address.
-        auto evictAt = [&](std::int16_t *srow, std::size_t j,
-                           int w) -> int {
-            const std::int16_t v = srow[w];
-            if (v < 0)
-                return 0;
-            const ThreadId victim = v >> 1;
-            if (v & 1) { // orphaned PRW: one transfer to the TCB
-                srow[w] = -1;
-                soa.prwOf(victim)[j] = kNoWindow;
-                return 1;
-            }
-            // Owned: w is the victim's stack-bottom; spill it.
-            srow[w] = -1;
-            std::int32_t *vres = soa.resOf(victim);
-            if (--vres[j] == 0) {
-                soa.topOf(victim)[j] = kNoWindow;
-                std::int32_t *vprw = soa.prwOf(victim);
-                if (vprw[j] != kNoWindow &&
-                    reclaim[j] != PrwReclaim::Lazy) {
-                    srow[vprw[j]] = -1;
-                    vprw[j] = kNoWindow;
-                    return reclaim[j] == PrwReclaim::Eager ? 2 : 1;
+            const WindowEngine::HotCounters &h0 = leader.hot_;
+            const std::uint64_t saves = h0.saves - startHot_.saves;
+            const std::uint64_t restores =
+                h0.restores - startHot_.restores;
+            const std::uint64_t switches =
+                h0.switches - startHot_.switches;
+            const Cycles charges =
+                h0.cyclesCompute - startHot_.cyclesCompute;
+            const std::uint64_t exits =
+                leader.stats_.counter("thread_exits").value() -
+                startExits_;
+            for (Lane &f : lanes_) {
+                WindowEngine &e = *f.e;
+                WindowEngine::HotCounters &h = f.hot;
+                const Cycles callret = f.psr * (saves + restores);
+                h.saves += saves;
+                h.restores += restores;
+                h.switches += switches;
+                h.cyclesCallret += callret;
+                h.cyclesCompute += charges;
+                e.hot_ = h;
+                e.now_ = f.offset + charges + callret;
+                e.current_ = leader.current_;
+                e.stats_.counter("thread_exits") += exits;
+                for (std::size_t tid = 0; tid < startThreads_.size();
+                     ++tid) {
+                    const ThreadCounters &lead =
+                        leader.threadCounters_[tid];
+                    const ThreadCounters &start = startThreads_[tid];
+                    ThreadCounters &tc = e.threadCounters_[tid];
+                    tc.saves += lead.saves - start.saves;
+                    tc.restores += lead.restores - start.restores;
+                    tc.switchesIn += lead.switchesIn - start.switchesIn;
                 }
             }
-            return 1;
+            return true;
+        }
+
+        /** The engine op stream the followers replay; 64-byte aligned
+         *  so the SoA pass's linear walk never splits a cache line
+         *  (eight 8-byte records per line). */
+        AlignedVec<OpRec> &ops;
+        SimdTier simdPathTaken = SimdTier::Scalar;
+
+      private:
+        /**
+         * A follower lane's engine and dense hot state: the diverging
+         * counters, the clock offset (start clock plus this lane's
+         * trap and switch costs), and the hoisted plain save/restore
+         * cost.
+         */
+        struct Lane
+        {
+            WindowEngine *e;
+            SchemeT *s;
+            FlatCostTables t;
+            WindowEngine::HotCounters hot;
+            Cycles offset;
+            Cycles psr;
         };
 
-        auto findFreeAt = [&](const std::int16_t *srow, std::size_t j,
-                              WindowIndex hint) {
-            const int n = soa.numWin[j];
-            const int start = hint == kNoWindow ? 0 : hint;
-            for (int k = 0; k < n; ++k) {
-                const int w = wrapAt(j, start + k);
-                if (srow[w] < 0)
-                    return w;
+        bool
+        replay()
+        {
+            // The sharing schemes always take the per-lane pass: their
+            // slot-map eviction probes are serial per lane, and
+            // interleaving lanes in one walk lost ~25% to cross-lane
+            // branch aliasing (DESIGN.md §16).
+            if constexpr (kSoaIsNs || kSoaIsInf) {
+                const SimdTier tier = effectiveSimdTier();
+                if (tier != SimdTier::Scalar) {
+                    simdPathTaken = tier;
+                    return replaySoa(tier);
+                }
             }
-            crw_unreachable("no free window in SoA replay");
-        };
-        auto evictableAt = [&](const std::int16_t *srow, std::size_t j,
-                               int w) {
-            const std::int16_t v = srow[w];
-            if (v < 0)
-                return true;
-            const ThreadId owner = v >> 1;
-            if (v & 1)
-                return soa.resOf(owner)[j] == 0;
-            const int bottom = wrapAt( // belowBy(top, res - 1)
-                j, soa.topOf(owner)[j] + soa.resOf(owner)[j] - 1);
-            return bottom == w;
-        };
-        auto allocSlotAt = [&](const std::int16_t *srow, std::size_t j,
-                               WindowIndex hint) {
-            const int fallback =
-                hint != kNoWindow ? hint : findFreeAt(srow, j, 0);
-            if (alloc[j] == AllocPolicy::Simple)
-                return fallback;
-            const int n = soa.numWin[j];
-            const int start = hint == kNoWindow ? 0 : hint;
-            int second = kNoWindow;
-            for (int k = 0; k < n; ++k) {
-                const int w = wrapAt(j, start + k);
-                if (srow[w] >= 0)
-                    continue;
-                const int up = aboveAt(j, w);
-                if (srow[up] < 0)
-                    return w;
-                if (second == kNoWindow && evictableAt(srow, j, up))
-                    second = w;
-            }
-            return second != kNoWindow ? second : fallback;
-        };
+            // One lane per stream pass, so the branch predictor sees a
+            // single lane's trap pattern per pass (pairing lanes was
+            // measured slower — the per-op trap branches alias across
+            // lanes and mispredict).
+            for (Lane &f : lanes_)
+                if (!replayLane(f))
+                    return false;
+            return true;
+        }
 
-        // SnpScheme/SpScheme::doSave (eviction probes force these
-        // scalar; they still run against the compact SoA state). The
-        // cursors arrive as the op thread's hoisted lane arrays.
-        auto shareSaveAt = [&](std::int16_t *srow, std::size_t j,
-                               ThreadId tid, std::int32_t *top,
-                               std::int32_t *res, std::int32_t *prw) {
-            if constexpr (kSoaIsSp) {
-                const int nt = prw[j];
-                const int p2 = aboveAt(j, nt);
-                srow[nt] = -1; // clearPrw
-                prw[j] = kNoWindow;
-                const int spilled = evictAt(srow, j, p2);
-                if (spilled)
-                    chargeOvfAt(j, spilled);
-                srow[nt] = // claimAsTop
-                    static_cast<std::int16_t>(tid * 2);
-                top[j] = nt;
-                ++res[j];
-                srow[p2] = // setPrw
-                    static_cast<std::int16_t>(tid * 2 + 1);
-                prw[j] = p2;
-            } else {
-                (void)prw;
-                const int nt = aboveAt(j, top[j]);
-                const int w2 = aboveAt(j, nt);
-                const int spilled = evictAt(srow, j, w2);
-                if (spilled)
-                    chargeOvfAt(j, spilled);
-                srow[nt] = static_cast<std::int16_t>(tid * 2);
-                top[j] = nt;
-                ++res[j];
+        /**
+         * The per-lane follower pass: one linear walk over the op
+         * stream applying @p f's scheme bodies against local
+         * (alias-free) state. Per-lane event order — and with it the
+         * switch-cost Distribution's sample order and the switch-case
+         * histograms — matches a per-point replay exactly, because the
+         * stream *is* the shared schedule restricted to engine ops.
+         */
+        bool
+        replayLane(Lane &f)
+        {
+            SchemeT &s = *f.s;
+            WindowEngine::HotCounters h = f.hot;
+            Cycles offset = f.offset;
+            for (const OpRec &op : ops) {
+                switch (op.kind) {
+                  case OpRec::Kind::Save: {
+                    const OpOutcome out =
+                        s.template doSave<false>(op.a);
+                    if (out.trapped)
+                        offset +=
+                            overflowTrap(h, f.t, out.windowsSaved);
+                    break;
+                  }
+                  case OpRec::Kind::Restore: {
+                    const OpOutcome out =
+                        s.template doRestore<false>(op.a);
+                    if (out.trapped)
+                        offset +=
+                            underflowTrap(h, f.t, out.windowsRestored);
+                    break;
+                  }
+                  case OpRec::Kind::Switch:
+                    offset += applySwitch(s, f.t, *f.e, h, op.a, op.b);
+                    break;
+                  case OpRec::Kind::Exit:
+                    s.template doExit<false>(op.a);
+                    break;
+                  case OpRec::Kind::WakeCheck:
+                    // A mismatch abandons the local state unsaved;
+                    // every lane is garbage anyway once the batch
+                    // diverges.
+                    if (f.e->isResident(op.a) != (op.resident != 0))
+                        return false;
+                    break;
+                }
             }
-        };
+            f.hot = h;
+            f.offset = offset;
+            return true;
+        }
 
-        // A folded restore run against a sharing scheme, one lane at a
-        // time: restoreRunFold's closed form (rel = min(k, res-1)
-        // releases, then k-rel in-place refill traps, because resident
-        // only ever shrinks inside the run) fused with the scalar slot
-        // walk. SNP frees the vacated tops; SP walks its PRW one step
-        // behind the shrinking top (releaseTopHook). Deliberately NOT
-        // a vector kernel: the fold itself is O(1) per lane while the
-        // walk is inherently scalar, and keeping the u64 trap tallies
-        // behind a per-lane branch means trap-free runs — the common
-        // case — never stream the four tally arrays the way an
-        // unconditional vector fold must.
-        auto shareRestoreRunAt = [&](ThreadId tid, int k1) {
-            std::int32_t *top = soa.topOf(tid);
-            std::int32_t *res = soa.resOf(tid);
-            std::int32_t *prw = soa.prwOf(tid);
-            (void)prw;
+        /**
+         * The lane-SoA follower pass for NS and INF (DESIGN.md §16):
+         * transpose the followers' hot state into win/lane_soa.h
+         * arrays, walk the op stream ONCE applying each op to every
+         * lane — same-thread save/restore runs through the tier's
+         * vector kernels, switches and exits scalar per lane against
+         * the transposed state — then materialize the surviving state
+         * back into the engines. Bit-identity with replayLane is by
+         * construction: every recurrence here is the closed form of
+         * the corresponding scalar scheme body (win/scheme.h RunFold
+         * derivations), and the differential suite pins the two
+         * passes against each other.
+         *
+         * @return false on a working-set residency mismatch; nothing
+         *         is written back (the engines are discarded
+         *         wholesale).
+         */
+        bool
+        replaySoa(SimdTier tier)
+        {
+            static_assert(kSoaIsNs || kSoaIsInf,
+                          "the sharing schemes replay per lane");
+            const LaneKernels &kern = laneKernels(tier);
+            const std::size_t nl = lanes_.size();
+            const int threads = static_cast<int>(startThreads_.size());
+
+            LaneSoA soa;
+            soa.init(nl, threads);
+
+            // --- transpose --------------------------------------------
+            // Followers were never touched by the control loop, so their
+            // files still hold the batch's start state. The shared call
+            // depths come from the first follower: depth is pure call
+            // nesting and the lockstep contract makes it lane-invariant.
             for (std::size_t j = 0; j < nl; ++j) {
-                const int r = res[j];
-                const int rel = k1 < r - 1 ? k1 : r - 1;
-                const int traps = k1 - rel;
-                res[j] = r - rel;
-                if (traps > 0) {
-                    soa.unfTraps[j] +=
-                        static_cast<std::uint64_t>(traps);
-                    soa.unfRestored[j] +=
-                        static_cast<std::uint64_t>(traps);
-                    const Cycles c = static_cast<Cycles>(traps) *
-                                     soa.unfCost[j];
-                    soa.cyclesTrap[j] += c;
-                    soa.offset[j] += c;
-                }
-                if (rel > 0) {
-                    std::int16_t *srow = &slots16[j * stride];
-                    int t = top[j];
-                    if constexpr (kSoaIsSp) {
-                        int p = prw[j];
-                        for (int c = 0; c < rel; ++c) {
-                            srow[p] = -1; // old PRW dies
-                            p = t; // vacated top is the new PRW
-                            srow[t] =
-                                static_cast<std::int16_t>(tid * 2 + 1);
-                            t = belowAt(j, t);
-                        }
-                        prw[j] = p;
-                    } else {
-                        for (int c = 0; c < rel; ++c) {
-                            srow[t] = -1;
-                            t = belowAt(j, t);
-                        }
-                    }
-                    top[j] = t;
+                const Lane &f = lanes_[j];
+                const WindowFile &file = f.e->file_;
+                soa.numWin[j] = file.numWindows();
+                soa.nsCap[j] = file.numWindows() - 1;
+                const Cycles ovf1 = f.t.overflowCost(1);
+                const Cycles unf = f.t.underflowCost();
+                // The vector tally fold multiplies traps by cost in one
+                // 32x32->64 lane product.
+                crw_assert(ovf1 <= UINT32_MAX && unf <= UINT32_MAX);
+                soa.ovfCost1[j] = ovf1;
+                soa.unfCost[j] = unf;
+                for (ThreadId tid = 0; tid < threads; ++tid) {
+                    const ThreadWindows &tw = file.thread(tid);
+                    soa.topOf(tid)[j] = tw.top;
+                    soa.resOf(tid)[j] = tw.resident;
                 }
             }
-        };
+            std::vector<int> depth(static_cast<std::size_t>(threads));
+            for (ThreadId tid = 0; tid < threads; ++tid)
+                depth[static_cast<std::size_t>(tid)] =
+                    lanes_[0].e->file_.thread(tid).depth;
 
-        // WindowFile::dropAll (root-frame return and thread exit).
-        auto dropAllAt = [&](std::size_t j, ThreadId tid) {
-            std::int32_t *res = soa.resOf(tid);
-            std::int32_t *top = soa.topOf(tid);
-            if constexpr (kSoaIsSharing) {
-                std::int16_t *srow = &slots16[j * stride];
-                int w = top[j];
-                for (int c = res[j]; c > 0; --c) {
-                    srow[w] = -1;
-                    w = belowAt(j, w);
-                }
-                std::int32_t *prw = soa.prwOf(tid);
-                if (prw[j] != kNoWindow) {
-                    srow[prw[j]] = -1;
-                    prw[j] = kNoWindow;
-                }
-            }
-            res[j] = 0;
-            top[j] = kNoWindow;
-        };
+            auto belowAt = [&soa](std::size_t j, int w) {
+                return w + 1 == soa.numWin[j] ? 0 : w + 1;
+            };
+            auto wrapAt = [&soa](std::size_t j, int x) {
+                const int n = soa.numWin[j];
+                x %= n;
+                return x < 0 ? x + n : x;
+            };
 
-        // applySwitch's tally residue, per lane (histograms and the
-        // switch-cost Distribution sample in recorded op order, so
-        // each lane's sample sequence matches a per-point replay).
-        auto chargeSwitchAt = [&](std::size_t j, int saved,
-                                  int restored) {
-            const std::size_t l = j + 1;
-            WindowEngine &e = *e_[l];
-            WindowEngine::HotCounters &h = hot_[l];
-            h.switchSaved += static_cast<std::uint64_t>(saved);
-            h.switchRestored += static_cast<std::uint64_t>(restored);
-            if (saved < WindowEngine::kSmallSwitchCase &&
-                restored < WindowEngine::kSmallSwitchCase)
-                ++e.switchCasesSmall_[saved][restored];
-            else
-                ++e.switchCasesLarge_[{saved, restored}];
-            const Cycles cycles = t_[l].switchCost(saved, restored);
-            h.cyclesSwitch += cycles;
-            e.dSwitchCost_->sample(static_cast<double>(cycles));
-            soa.offset[j] += cycles;
-        };
+            // WindowFile::dropAll (root-frame return and thread exit).
+            auto dropAllAt = [&](std::size_t j, ThreadId tid) {
+                soa.resOf(tid)[j] = 0;
+                soa.topOf(tid)[j] = kNoWindow;
+            };
 
-        // doSwitchIn per scheme. Residency of `to` may genuinely
-        // differ across lanes; call depth cannot (the dispatcher
-        // below maintains the shared depth array once per op).
-        auto switchAt = [&](std::size_t j, ThreadId from,
-                            ThreadId to) {
-            int saved = 0;
-            int restored = 0;
-            if constexpr (kSoaIsInf) {
-                // no window motion, ever
-            } else if constexpr (kSoaIsNs) {
-                if (from != kNoThread) {
-                    std::int32_t *fres = soa.resOf(from);
-                    saved = fres[j]; // flush the whole run
-                    fres[j] = 0;
-                    soa.topOf(from)[j] = kNoWindow;
-                }
-                soa.topOf(to)[j] = 0; // NS schedules into slot 0
-                soa.resOf(to)[j] = 1;
-                if (depth[static_cast<std::size_t>(to)] > 0)
-                    restored = 1;
-            } else if constexpr (kSoaIsSp) {
-                std::int16_t *srow = &slots16[j * stride];
-                if (from != kNoThread && soa.resOf(from)[j] > 0)
-                    alloc_hint[j] = aboveAt(j, soa.prwOf(from)[j]);
-                if (soa.resOf(to)[j] == 0) {
-                    std::int32_t *prw = soa.prwOf(to);
-                    if (prw[j] != kNoWindow) { // orphan carries over
-                        srow[prw[j]] = -1;
-                        prw[j] = kNoWindow;
+            // doSwitchIn per scheme, then applySwitch's tally residue
+            // (histograms and the switch-cost Distribution sample in
+            // recorded op order, so each lane's sample sequence matches a
+            // per-point replay). Residency of `to` may genuinely differ
+            // across lanes; call depth cannot (the dispatcher below
+            // maintains the shared depth array once per op).
+            auto switchAt = [&](std::size_t j, ThreadId from,
+                                ThreadId to) {
+                int saved = 0;
+                int restored = 0;
+                if constexpr (kSoaIsNs) {
+                    if (from != kNoThread) {
+                        std::int32_t *fres = soa.resOf(from);
+                        saved = fres[j]; // flush the whole run
+                        fres[j] = 0;
+                        soa.topOf(from)[j] = kNoWindow;
                     }
-                    const int w = allocSlotAt(srow, j, alloc_hint[j]);
-                    saved += evictAt(srow, j, w);
-                    saved += evictAt(srow, j, aboveAt(j, w));
-                    srow[w] = static_cast<std::int16_t>(to * 2);
-                    soa.topOf(to)[j] = w;
+                    soa.topOf(to)[j] = 0; // NS schedules into slot 0
                     soa.resOf(to)[j] = 1;
                     if (depth[static_cast<std::size_t>(to)] > 0)
                         restored = 1;
-                    const int p = aboveAt(j, w);
-                    srow[p] = static_cast<std::int16_t>(to * 2 + 1);
-                    prw[j] = p;
-                } // resident: nothing moves (Table 2 best case)
-            } else { // SNP
-                std::int16_t *srow = &slots16[j * stride];
-                if (from != kNoThread && soa.resOf(from)[j] > 0)
-                    alloc_hint[j] = aboveAt(j, soa.topOf(from)[j]);
-                std::int32_t *tres = soa.resOf(to);
-                if (tres[j] > 0) {
-                    saved += evictAt(srow, j,
-                                     aboveAt(j, soa.topOf(to)[j]));
-                } else {
-                    int w = allocSlotAt(srow, j, alloc_hint[j]);
-                    if (srow[w] >= 0)
-                        w = findFreeAt(srow, j, alloc_hint[j]);
-                    srow[w] = static_cast<std::int16_t>(to * 2);
-                    soa.topOf(to)[j] = w;
-                    tres[j] = 1;
-                    if (depth[static_cast<std::size_t>(to)] > 0)
-                        restored = 1;
-                    saved += evictAt(srow, j, aboveAt(j, w));
-                }
-            }
-            chargeSwitchAt(j, saved, restored);
-        };
+                } // INF: no window motion, ever
+                Lane &f = lanes_[j];
+                soa.offset[j] +=
+                    chargeSwitch(f.t, *f.e, f.hot, saved, restored);
+            };
 
-        auto exitAt = [&](std::size_t j, ThreadId tid) {
-            if constexpr (kSoaIsSharing)
-                alloc_hint[j] = soa.resOf(tid)[j] > 0
-                                    ? soa.topOf(tid)[j]
-                                    : kNoWindow;
-            if constexpr (!kSoaIsInf)
-                dropAllAt(j, tid);
-        };
-
-        // --- the single walk --------------------------------------
-        const std::size_t nops = ops_.size();
-        std::size_t i = 0;
-        while (i < nops) {
-            const OpRec &op = ops_[i];
-            switch (op.kind) {
-              case OpRec::Kind::Save: {
-                std::size_t r = i + 1;
-                while (r < nops &&
-                       ops_[r].kind == OpRec::Kind::Save &&
-                       ops_[r].a == op.a)
-                    ++r;
-                const int k = static_cast<int>(r - i);
-                const ThreadId tid = op.a;
-                depth[static_cast<std::size_t>(tid)] += k;
-                if constexpr (kSoaIsNs) {
-                    kern.nsSaveRun(soa, tid, k);
-                } else if constexpr (kSoaIsSharing) {
-                    // Lane-outer with hoisted cursors: one lane's slot
-                    // row and the op thread's lane arrays stay in
-                    // registers across the whole fused run.
-                    std::int32_t *top = soa.topOf(tid);
-                    std::int32_t *res = soa.resOf(tid);
-                    std::int32_t *prw = soa.prwOf(tid);
-                    for (std::size_t j = 0; j < nl; ++j) {
-                        std::int16_t *srow = &slots16[j * stride];
-                        for (int q = 0; q < k; ++q)
-                            shareSaveAt(srow, j, tid, top, res, prw);
-                    }
-                }
-                i = r;
-                break;
-              }
-              case OpRec::Kind::Restore: {
-                std::size_t r = i + 1;
-                while (r < nops &&
-                       ops_[r].kind == OpRec::Kind::Restore &&
-                       ops_[r].a == op.a)
-                    ++r;
-                const int k = static_cast<int>(r - i);
-                const ThreadId tid = op.a;
-                const int d = depth[static_cast<std::size_t>(tid)];
-                crw_assert(k <= d);
-                // The run's last restore is the root-frame return
-                // exactly when it empties the call stack; it drops
-                // all windows instead of trapping, so it is peeled
-                // off the folded run (restoreRunFold precondition).
-                const int k1 = k < d ? k : d - 1;
-                if constexpr (!kSoaIsInf) {
-                    if (k1 > 0) {
-                        if constexpr (kSoaIsNs) {
-                            kern.nsRestoreRun(soa, tid, k1);
-                        } else {
-                            shareRestoreRunAt(tid, k1);
-                        }
-                    }
-                    if (k1 < k)
-                        for (std::size_t j = 0; j < nl; ++j)
-                            dropAllAt(j, tid);
-                }
-                depth[static_cast<std::size_t>(tid)] -= k;
-                i = r;
-                break;
-              }
-              case OpRec::Kind::Switch: {
-                for (std::size_t j = 0; j < nl; ++j)
-                    switchAt(j, op.a, op.b);
-                if (depth[static_cast<std::size_t>(op.b)] == 0)
-                    depth[static_cast<std::size_t>(op.b)] =
-                        1; // root frame of a fresh thread
-                ++i;
-                break;
-              }
-              case OpRec::Kind::Exit: {
-                for (std::size_t j = 0; j < nl; ++j)
-                    exitAt(j, op.a);
-                depth[static_cast<std::size_t>(op.a)] = 0;
-                ++i;
-                break;
-              }
-              case OpRec::Kind::WakeCheck: {
-                if (kern.wakeMismatch(soa, op.a, op.resident))
-                    return false;
-                ++i;
-                break;
-              }
-            }
-        }
-
-        // --- writeback --------------------------------------------
-        for (std::size_t l = 1; l < lanes_; ++l) {
-            const std::size_t j = l - 1;
-            WindowEngine::HotCounters &h = hot_[l];
-            h.ovfTraps += soa.ovfTraps[j];
-            h.ovfSpilled += soa.ovfSpilled[j];
-            h.unfTraps += soa.unfTraps[j];
-            h.unfRestored += soa.unfRestored[j];
-            h.cyclesTrap += soa.cyclesTrap[j];
-            offset_[l] += soa.offset[j];
-            WindowFile &f = e_[l]->file_;
-            if constexpr (kSoaIsInf) {
-                for (ThreadId tid = 0; tid < threads; ++tid) {
-                    ThreadWindows tw;
-                    tw.depth = depth[static_cast<std::size_t>(tid)];
-                    f.importThread(tid, tw);
-                }
-            } else {
-                f.resetSlotsForImport();
-                for (ThreadId tid = 0; tid < threads; ++tid) {
-                    ThreadWindows tw;
-                    tw.resident = soa.resOf(tid)[j];
-                    tw.depth = depth[static_cast<std::size_t>(tid)];
+            // --- the single walk --------------------------------------
+            const std::size_t nops = ops.size();
+            std::size_t i = 0;
+            while (i < nops) {
+                const OpRec &op = ops[i];
+                switch (op.kind) {
+                  case OpRec::Kind::Save: {
+                    std::size_t r = i + 1;
+                    while (r < nops &&
+                           ops[r].kind == OpRec::Kind::Save &&
+                           ops[r].a == op.a)
+                        ++r;
+                    const int k = static_cast<int>(r - i);
+                    const ThreadId tid = op.a;
+                    depth[static_cast<std::size_t>(tid)] += k;
+                    if constexpr (kSoaIsNs)
+                        kern.nsSaveRun(soa, tid, k);
+                    i = r;
+                    break;
+                  }
+                  case OpRec::Kind::Restore: {
+                    std::size_t r = i + 1;
+                    while (r < nops &&
+                           ops[r].kind == OpRec::Kind::Restore &&
+                           ops[r].a == op.a)
+                        ++r;
+                    const int k = static_cast<int>(r - i);
+                    const ThreadId tid = op.a;
+                    const int d = depth[static_cast<std::size_t>(tid)];
+                    crw_assert(k <= d);
+                    // The run's last restore is the root-frame return
+                    // exactly when it empties the call stack; it drops
+                    // all windows instead of trapping, so it is peeled
+                    // off the folded run (restoreRunFold precondition).
+                    const int k1 = k < d ? k : d - 1;
                     if constexpr (kSoaIsNs) {
+                        if (k1 > 0)
+                            kern.nsRestoreRun(soa, tid, k1);
+                        if (k1 < k)
+                            for (std::size_t j = 0; j < nl; ++j)
+                                dropAllAt(j, tid);
+                    }
+                    depth[static_cast<std::size_t>(tid)] -= k;
+                    i = r;
+                    break;
+                  }
+                  case OpRec::Kind::Switch: {
+                    for (std::size_t j = 0; j < nl; ++j)
+                        switchAt(j, op.a, op.b);
+                    if (depth[static_cast<std::size_t>(op.b)] == 0)
+                        depth[static_cast<std::size_t>(op.b)] =
+                            1; // root frame of a fresh thread
+                    ++i;
+                    break;
+                  }
+                  case OpRec::Kind::Exit: {
+                    if constexpr (kSoaIsNs)
+                        for (std::size_t j = 0; j < nl; ++j)
+                            dropAllAt(j, op.a);
+                    depth[static_cast<std::size_t>(op.a)] = 0;
+                    ++i;
+                    break;
+                  }
+                  case OpRec::Kind::WakeCheck: {
+                    if (kern.wakeMismatch(soa, op.a, op.resident))
+                        return false;
+                    ++i;
+                    break;
+                  }
+                }
+            }
+
+            // --- writeback --------------------------------------------
+            for (std::size_t j = 0; j < nl; ++j) {
+                Lane &f = lanes_[j];
+                WindowEngine::HotCounters &h = f.hot;
+                h.ovfTraps += soa.ovfTraps[j];
+                h.ovfSpilled += soa.ovfSpilled[j];
+                h.unfTraps += soa.unfTraps[j];
+                h.unfRestored += soa.unfRestored[j];
+                h.cyclesTrap += soa.cyclesTrap[j];
+                f.offset += soa.offset[j];
+                WindowFile &file = f.e->file_;
+                if constexpr (kSoaIsInf) {
+                    for (ThreadId tid = 0; tid < threads; ++tid) {
+                        ThreadWindows tw;
+                        tw.depth = depth[static_cast<std::size_t>(tid)];
+                        file.importThread(tid, tw);
+                    }
+                } else {
+                    file.resetSlotsForImport();
+                    for (ThreadId tid = 0; tid < threads; ++tid) {
+                        ThreadWindows tw;
+                        tw.resident = soa.resOf(tid)[j];
+                        tw.depth = depth[static_cast<std::size_t>(tid)];
                         if (tw.resident > 0) {
-                            // NS keeps `top` unwrapped during the
-                            // pass; the single wrap happens here. Its
-                            // slots are the contiguous run below top
-                            // (the invariant NS growth preserves).
+                            // NS keeps `top` unwrapped during the pass;
+                            // the single wrap happens here. Its slots are
+                            // the contiguous run below top (the invariant
+                            // NS growth preserves).
                             tw.top = wrapAt(j, soa.topOf(tid)[j]);
                             int w = tw.top;
                             for (int c = 0; c < tw.resident; ++c) {
-                                f.importSlot(w, WinState::Owned,
-                                             tid);
+                                file.importSlot(w, WinState::Owned, tid);
                                 w = belowAt(j, w);
                             }
                         }
-                    } else {
-                        if (tw.resident > 0)
-                            tw.top = soa.topOf(tid)[j];
-                        tw.prw = soa.prwOf(tid)[j];
+                        file.importThread(tid, tw);
                     }
-                    f.importThread(tid, tw);
-                }
-                if constexpr (kSoaIsSharing) {
-                    for (int w = 0; w < soa.numWin[j]; ++w) {
-                        const std::int16_t v = slotAt(j, w);
-                        if (v >= 0)
-                            f.importSlot(w,
-                                         (v & 1) ? WinState::Prw
-                                                 : WinState::Owned,
-                                         static_cast<ThreadId>(
-                                             v >> 1));
-                    }
-                    s_[l]->setAllocHintForReplay(alloc_hint[j]);
                 }
             }
+            return true;
         }
-        return true;
-    }
 
-    std::size_t lanes_;
-    SimdTier simdPathTaken_ = SimdTier::Scalar;
-    ThreadId current_ = kNoThread;
-    /** Shared clock component: the sum of all charges so far. */
-    Cycles charges_ = 0;
-    // Shared event tallies — lane-invariant by the lockstep contract,
-    // folded into every lane at finish().
-    std::uint64_t sharedSaves_ = 0;
-    std::uint64_t sharedRestores_ = 0;
-    std::uint64_t sharedSwitches_ = 0;
-    std::uint64_t sharedExits_ = 0;
-    std::vector<WindowEngine *> e_;
-    std::vector<SchemeT *> s_;
-    std::vector<FlatCostTables> t_;
-    // Dense per-lane hot state: the diverging counters, the per-lane
-    // trap/switch clock contribution, and the hoisted plain
-    // save/restore cost.
-    std::vector<WindowEngine::HotCounters> hot_;
-    std::vector<Cycles> offset_;
-    std::vector<Cycles> psr_;
-    Cycles switchBegin0_ = 0;
-    /** The engine op stream the followers replay (width > 1 only);
-     *  64-byte aligned so the SoA pass's linear walk never splits a
-     *  cache line (eight 8-byte records per line). */
-    AlignedVec<OpRec> ops_;
-    // Shared per-tid tallies, identical for every lane (the event
-    // sequence decides them); replicated into each engine at finish.
-    std::vector<std::uint64_t> threadSaves_;
-    std::vector<std::uint64_t> threadRestores_;
-    std::vector<std::uint64_t> threadSwitchesIn_;
+        // The leader's lane-invariant tallies when the view was built;
+        // finish() hands each follower the leader's deltas from these.
+        const WindowEngine::HotCounters startHot_;
+        const std::vector<ThreadCounters> startThreads_;
+        const std::uint64_t startExits_;
+        std::vector<Lane> lanes_;
+    };
+
+    // The leader: its engine, concrete scheme and flat cost tables.
+    WindowEngine &e_;
+    SchemeT &s_;
+    const FlatCostTables t_;
+    /** Width > 1 only: the follower lanes and their op stream. */
+    std::unique_ptr<Followers> followers_;
 };
 
 } // namespace crw

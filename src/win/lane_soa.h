@@ -7,21 +7,21 @@
  * stream and replays it through every follower lane. The PR 7 pass ran
  * one lane per stream walk — K - 1 full walks, with each lane's state
  * scattered across its own WindowEngine. This layer flips the loop
- * order: the hot per-lane state (resident counts, stack-top cursors,
- * PRW cursors, trap tallies, clock offsets) is transposed into
+ * order for NS and INF: the hot per-lane state (resident counts,
+ * stack-top cursors, trap tallies, clock offsets) is transposed into
  * lane-major arrays padded to the widest vector (8 × i32), and one
- * walk over the stream applies each op to all lanes at once.
+ * walk over the stream applies each op to all lanes at once. The
+ * sharing schemes (SNP, SP) always replay per lane.
  *
  * What vectorizes is the run math, not the op dispatch: consecutive
  * saves (or restores) by one thread fold into closed forms over the
  * resident count (win/scheme.h nsSaveRunFold / restoreRunFold), so a
  * call-depth excursion of length k becomes ONE kernel call of
  * branch-free min/max lane arithmetic instead of k trap-branch
- * iterations per lane. Context switches, exits, and the sharing
- * schemes' eviction probes stay scalar per lane — they are rare
- * (switches) or inherently gather/scatter (eviction walks arbitrary
- * slots) — but they run against the same compact SoA state, so the
- * whole pass touches one small working set once per stream.
+ * iterations per lane. Context switches and exits stay scalar per
+ * lane — they are rare — but they run against the same compact SoA
+ * state, so the whole pass touches one small working set once per
+ * stream.
  *
  * Three kernel flavors sit behind laneKernels(tier): AVX2 (8 lanes per
  * step), SSE2 (4 lanes per step; min/max emulated — pminsd is SSE4.1),
@@ -82,9 +82,8 @@ struct LaneSoA
 
     // Per (thread, lane) cursors, [threads * pad], lane-major per
     // thread. NS keeps `top` unwrapped (the run kernels add/subtract
-    // k without a lane-wise modulo; writeback wraps once); the
-    // sharing schemes keep real slot indices.
-    AlignedVec<std::int32_t> top, res, prw;
+    // k without a lane-wise modulo; writeback wraps once).
+    AlignedVec<std::int32_t> top, res;
 
     void
     init(std::size_t nlanes, int nthreads)
@@ -107,9 +106,6 @@ struct LaneSoA
             static_cast<std::size_t>(nthreads) * pad;
         top.resize(per_thread);
         res.resize(per_thread);
-        prw.resize(per_thread);
-        for (std::size_t i = 0; i < per_thread; ++i)
-            prw[i] = kNoWindow;
         for (std::size_t l = nlanes; l < pad; ++l)
             nsCap[l] = 1; // benign saturation for padding lanes
     }
@@ -128,11 +124,6 @@ struct LaneSoA
     resOf(ThreadId tid) const
     {
         return res.data() + static_cast<std::size_t>(tid) * pad;
-    }
-    std::int32_t *
-    prwOf(ThreadId tid)
-    {
-        return prw.data() + static_cast<std::size_t>(tid) * pad;
     }
 };
 
@@ -480,7 +471,7 @@ inline constexpr LaneKernels kAvx2Kernels = {
 
 /**
  * Kernel set for @p tier. SimdTier::Scalar callers never reach the
- * SoA pass (engine_batch.h dispatches them to the per-lane oracle),
+ * SoA pass (engine_batch.h dispatches them to the per-lane pass),
  * so the request here is only ever Sse2 or Avx2; on non-x86 both
  * resolve to the portable flavor.
  */

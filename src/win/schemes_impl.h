@@ -1,8 +1,9 @@
 /**
  * @file
- * Concrete scheme implementations, in a header so the replay fast
- * path (win/engine_fast.h) can instantiate the engine event bodies
- * over the concrete (final) classes and inline the per-event handlers
+ * Concrete scheme implementations, in a header so the production
+ * replay path (win/engine_batch.h) can instantiate the engine event
+ * bodies over the concrete (final) classes and inline the per-event
+ * handlers
  * — save/restore/switch fire tens of millions of times per sweep, and
  * the dispatch boundary was the hottest barrier in the replay profile.
  * The engine's own member functions keep calling through the virtual
@@ -14,10 +15,10 @@
  * Every event body is a `doX<Checked>` member template; the virtual
  * Scheme overrides forward to the Checked = true instantiation, so
  * the oracle path evaluates every structural assertion exactly as
- * before. The replay views (win/engine_fast.h, win/engine_batch.h)
- * instantiate Checked = false: the window-file primitives then skip
- * assertion *evaluation* — see the policy note in win/window_file.h —
- * which removed ~25% of replay wall time. The differential suites pin
+ * before. The replay view (win/engine_batch.h) instantiates
+ * Checked = false: the window-file primitives then skip assertion
+ * *evaluation* — see the policy note in win/window_file.h — which
+ * removed ~25% of replay wall time. The differential suites pin
  * the unchecked instantiations bit-identical to the checked oracle.
  */
 
@@ -214,11 +215,6 @@ class SharingSchemeBase : public Scheme
           reclaim_(reclaim),
           alloc_(alloc)
     {}
-
-    // The batched SoA pass (win/engine_batch.h) transposes these
-    // per-lane policy knobs next to the lane state it vectorizes.
-    PrwReclaim prwReclaim() const { return reclaim_; }
-    AllocPolicy allocPolicy() const { return alloc_; }
 
   protected:
     /**
@@ -467,11 +463,6 @@ class SnpScheme final : public SharingSchemeBase
         file_.thread<Checked>(tid).depth = 0;
     }
 
-    /** Batched-replay transpose/writeback of the allocation cursor
-     *  (win/engine_batch.h mirrors it per lane in the SoA pass). */
-    WindowIndex allocHintForReplay() const { return allocHint_; }
-    void setAllocHintForReplay(WindowIndex w) { allocHint_ = w; }
-
   private:
     friend class SharingSchemeBase; // sharedRestore's CRTP callback
 
@@ -605,11 +596,6 @@ class SpScheme final : public SharingSchemeBase
         file_.dropAll(tid);
         file_.thread<Checked>(tid).depth = 0;
     }
-
-    /** Batched-replay transpose/writeback of the allocation cursor
-     *  (win/engine_batch.h mirrors it per lane in the SoA pass). */
-    WindowIndex allocHintForReplay() const { return allocHint_; }
-    void setAllocHintForReplay(WindowIndex w) { allocHint_ = w; }
 
   private:
     friend class SharingSchemeBase; // sharedRestore's CRTP callback

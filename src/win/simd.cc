@@ -92,22 +92,6 @@ effectiveSimdTier()
     return env_tier;
 }
 
-bool
-simdTierExplicit()
-{
-    if (g_override.load(std::memory_order_relaxed) >= 0)
-        return true;
-    static const bool env_named = [] {
-        const char *text = std::getenv("CRW_SIMD");
-        if (!text || !*text)
-            return false;
-        return std::strcmp(text, "scalar") == 0 ||
-               std::strcmp(text, "sse2") == 0 ||
-               std::strcmp(text, "avx2") == 0;
-    }();
-    return env_named;
-}
-
 void
 setSimdTierOverride(SimdTier tier)
 {

@@ -2,14 +2,16 @@
  * @file
  * SIMD dispatch tier for the batched follower replay (DESIGN.md §16).
  *
- * The lane-SoA follower pass (win/engine_batch.h) has three kernel
- * flavors for its vectorizable window math: an AVX2 path (8 lanes per
- * step), an SSE2 path (4 lanes per step), and a portable scalar-loop
- * fallback the compiler is free to autovectorize. On top of those sits
- * the `Scalar` tier, which bypasses the SoA pass entirely and runs the
- * PR 7 per-lane follower replay — that path is the bit-identity oracle
- * every SoA flavor is differentially pinned against, and the baseline
- * the `simd_speedup` bench gate measures from.
+ * The lane-SoA follower pass (win/engine_batch.h) of the NS and INF
+ * schemes has three kernel flavors for its vectorizable window math:
+ * an AVX2 path (8 lanes per step), an SSE2 path (4 lanes per step),
+ * and a portable scalar-loop fallback the compiler is free to
+ * autovectorize. On top of those sits the `Scalar` tier, which
+ * bypasses the SoA pass entirely and runs the per-lane follower
+ * replay — that path is the bit-identity oracle every SoA flavor is
+ * differentially pinned against, and the baseline the `simd_speedup`
+ * bench gate measures from. The sharing schemes (SNP, SP) take the
+ * per-lane pass on every tier, so the tier only picks NS/INF kernels.
  *
  * Tier selection: $CRW_SIMD (`auto` | `avx2` | `sse2` | `scalar`),
  * strictly parsed — junk warns once and falls back to `auto`, the same
@@ -43,17 +45,6 @@ const char *simdTierName(SimdTier tier);
  * and what the executor publishes as replay.simd_path.
  */
 SimdTier effectiveSimdTier();
-
-/**
- * True when the tier was pinned by name — a test/bench override or a
- * valid named $CRW_SIMD value (not unset/`auto`/junk). The batched
- * follower dispatch treats `auto` as a *preference*: schemes whose
- * lane math cannot vectorize (the sharing slot maps) fall back to the
- * per-lane oracle under auto, while an explicit pin always forces the
- * requested pass (tests rely on that to drive the SoA translation of
- * every scheme).
- */
-bool simdTierExplicit();
 
 /**
  * Strictly parse a $CRW_SIMD value. nullptr/empty and "auto" resolve

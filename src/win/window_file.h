@@ -117,10 +117,10 @@ class WindowFile
     // Every primitive takes a `Checked` template parameter (default
     // true): whether its structural assertions are *evaluated*. The
     // oracle engine, the invariant checker, and every test keep the
-    // checked default; only the devirtualized replay instantiations
-    // (win/engine_fast.h, win/engine_batch.h) use Checked = false —
-    // their transition sequences are pinned bit-identical to the
-    // checked oracle by the differential suites, and evaluating the
+    // checked default; only the devirtualized replay view
+    // (win/engine_batch.h) uses Checked = false — its transition
+    // sequences are pinned bit-identical to the checked oracle by
+    // the differential suites, and evaluating the
     // assertion operands (slot loads, cyclic recomputation) was ~25%
     // of replay wall time. The assertions themselves stay active in
     // all build types, per the crw_assert contract (common/logging.h).
@@ -183,9 +183,10 @@ class WindowFile
 
     // --- batched-replay writeback (win/engine_batch.h) ---
     //
-    // The SoA follower pass evolves every lane's window state in
-    // transposed lane-major arrays and only materializes it into the
-    // real WindowFile once the whole batch completes. These importers
+    // The SoA follower pass (NS and INF batches) evolves every
+    // lane's window state in transposed lane-major arrays and only
+    // materializes it into the real WindowFile once the whole batch
+    // completes. These importers
     // are that materialization: raw assignments with no invariant
     // maintenance — the pass guarantees the imported state is exactly
     // what the primitive-transition sequence would have produced, and

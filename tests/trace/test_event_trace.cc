@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "trace/event_trace.h"
@@ -53,9 +55,14 @@ class EventTraceFile : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = (std::filesystem::temp_directory_path() /
-                 "crw_test_event_trace.trace")
-                    .string();
+        // Unique per process and per test: ctest -j runs every test
+        // of this fixture as its own concurrent process.
+        const ::testing::TestInfo *test =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        const std::string name = "crw_test_event_trace_" +
+                                 std::to_string(::getpid()) + "_" +
+                                 test->name() + ".trace";
+        path_ = (std::filesystem::temp_directory_path() / name).string();
     }
 
     void TearDown() override { std::remove(path_.c_str()); }

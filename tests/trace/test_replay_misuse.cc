@@ -1,17 +1,22 @@
 /**
  * @file
  * ReplayDriver lifecycle misuse is fatal, not silent: metrics() before
- * run() would report an all-zero record, run() twice would accumulate
- * into finished counters, and ReplayPath::Fast cannot honor
- * checkInvariants (the post-event walk only exists on the oracle
- * path). Each must throw with the replay coordinate in the message.
+ * run() would report an all-zero record and run() twice would
+ * accumulate into finished counters; each must throw with the replay
+ * coordinate in the message. And the oracle-only features — the
+ * timeline observer and the post-event invariant walk — route a
+ * default (Auto) run onto the oracle loop instead of being dropped.
  */
+
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
 #include "trace/event_trace.h"
 #include "trace/replay_driver.h"
+#include "trace/run_metrics.h"
+#include "trace/synth.h"
 
 namespace crw {
 namespace {
@@ -48,40 +53,118 @@ TEST(ReplayMisuse, DoubleRunIsFatal)
     EXPECT_EQ(driver.metrics().saves, 1u);
 }
 
-TEST(ReplayMisuse, FastPathRefusesCheckInvariants)
+/** Digest of every observer callback, order-sensitive via the mix. */
+class DigestObserver final : public EngineObserver
 {
-    const EventTrace trace = tinyTrace();
-    EngineConfig ec;
-    ec.checkInvariants = true;
-    ReplayDriver driver(trace, ec, SchedPolicy::Fifo);
-    driver.setPath(ReplayPath::Fast);
-    EXPECT_THROW(driver.run(), FatalError);
-}
-
-TEST(ReplayMisuse, AutoWithInvariantsFallsBackToOracle)
-{
-    const EventTrace trace = tinyTrace();
-    EngineConfig ec;
-    ec.checkInvariants = true;
-    ReplayDriver driver(trace, ec, SchedPolicy::Fifo);
-    driver.run();
-    EXPECT_FALSE(driver.usedFastPath());
-}
-
-TEST(ReplayMisuse, ForcedPathsReportWhichLoopRan)
-{
-    const EventTrace trace = tinyTrace();
+  public:
+    void
+    onSave(ThreadId tid, int depth) override
     {
-        ReplayDriver driver(trace, EngineConfig{}, SchedPolicy::Fifo);
-        driver.setPath(ReplayPath::Fast);
-        driver.run();
-        EXPECT_TRUE(driver.usedFastPath());
+        mix(1, tid, depth, 0, 0);
     }
+    void
+    onRestore(ThreadId tid, int depth) override
     {
-        ReplayDriver driver(trace, EngineConfig{}, SchedPolicy::Fifo);
-        driver.setPath(ReplayPath::Legacy);
-        driver.run();
-        EXPECT_FALSE(driver.usedFastPath());
+        mix(2, tid, depth, 0, 0);
+    }
+    void
+    onSwitch(ThreadId from, ThreadId to, int to_depth, Cycles begin,
+             Cycles end) override
+    {
+        mix(3, from, to, begin, end);
+        mix(3, to_depth, 0, 0, 0);
+    }
+    void onExit(ThreadId tid) override { mix(4, tid, 0, 0, 0); }
+    void
+    onSaveTimed(ThreadId tid, int depth, Cycles begin,
+                Cycles end) override
+    {
+        mix(5, tid, depth, begin, end);
+    }
+    void
+    onRestoreTimed(ThreadId tid, int depth, Cycles begin,
+                   Cycles end) override
+    {
+        mix(6, tid, depth, begin, end);
+    }
+    void
+    onTrap(ThreadId tid, bool overflow, int windows_moved,
+           Cycles begin, Cycles end) override
+    {
+        mix(overflow ? 7 : 8, tid, windows_moved, begin, end);
+    }
+
+    std::uint64_t digest() const { return digest_; }
+    std::uint64_t events() const { return events_; }
+
+  private:
+    void
+    mix(std::uint64_t tag, std::uint64_t a, std::uint64_t b,
+        std::uint64_t c, std::uint64_t d)
+    {
+        ++events_;
+        for (const std::uint64_t v : {tag, a, b, c, d}) {
+            digest_ ^= v + 0x9e3779b97f4a7c15ull + (digest_ << 6) +
+                       (digest_ >> 2);
+        }
+    }
+
+    std::uint64_t digest_ = 0;
+    std::uint64_t events_ = 0;
+};
+
+/**
+ * An Auto run carrying an observer or checkInvariants takes the
+ * oracle loop — the production view has no observer hooks and refuses
+ * invariant-checking engines, so a delivered callback stream and a
+ * completed checked run both prove it — and is bit-identical to a
+ * headless Auto run, which takes the production loop. The observer
+ * sees exactly the callback stream of a forced-Legacy run.
+ */
+TEST(ReplayMisuse, AutoWithObserverOrInvariantsTakesOracle)
+{
+    SynthSpec spec;
+    spec.topology = SynthSpec::Topology::FanInOut;
+    spec.threads = 3;
+    spec.items = 60;
+    spec.streamCapacity = 2;
+    spec.lockRounds = 5;
+    spec.seed = 11;
+    const EventTrace trace = generateSynthTrace(spec);
+    for (const SchemeKind scheme :
+         {SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP,
+          SchemeKind::Infinite}) {
+        EngineConfig ec;
+        ec.scheme = scheme;
+        ec.numWindows = 6;
+        const SchedPolicy policy = SchedPolicy::WorkingSet;
+        ReplayDriver headless(trace, ec, policy);
+        headless.run();
+
+        DigestObserver auto_obs, legacy_obs;
+        ReplayDriver observed(trace, ec, policy);
+        observed.engine().setObserver(&auto_obs);
+        observed.run();
+        ReplayDriver legacy(trace, ec, policy);
+        legacy.setPath(ReplayPath::Legacy);
+        legacy.engine().setObserver(&legacy_obs);
+        legacy.run();
+        EXPECT_TRUE(
+            metricsBitIdentical(headless.metrics(), observed.metrics()))
+            << schemeName(scheme);
+        EXPECT_GT(auto_obs.events(), 0u) << schemeName(scheme);
+        EXPECT_EQ(auto_obs.events(), legacy_obs.events())
+            << schemeName(scheme);
+        EXPECT_EQ(auto_obs.digest(), legacy_obs.digest())
+            << schemeName(scheme);
+
+        EngineConfig checked = ec;
+        checked.checkInvariants = true;
+        ReplayDriver invariants(trace, checked, policy);
+        invariants.run();
+        EXPECT_TRUE(metricsBitIdentical(headless.metrics(),
+                                        invariants.metrics()))
+            << schemeName(scheme);
     }
 }
 

@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "trace/run_metrics.h"
@@ -64,9 +66,14 @@ class RunMetricsFile : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = (std::filesystem::temp_directory_path() /
-                 "crw_test_run_metrics.metrics")
-                    .string();
+        // Unique per process and per test: ctest -j runs every test
+        // of this fixture as its own concurrent process.
+        const ::testing::TestInfo *test =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        const std::string name = "crw_test_run_metrics_" +
+                                 std::to_string(::getpid()) + "_" +
+                                 test->name() + ".metrics";
+        path_ = (std::filesystem::temp_directory_path() / name).string();
     }
 
     void TearDown() override { std::remove(path_.c_str()); }

@@ -4,10 +4,11 @@
  * one forward pass over a FlatTrace advancing K engine states must
  * leave every lane with RunMetrics bit-identical to a per-point
  * replay of the same (scheme, windows, policy, PRW, alloc) point —
- * through both the width-1 ReplayPath::Batched loop and the
+ * through both the width-1 loop every default ReplayDriver runs
+ * (pinned against the legacy oracle at every variant) and the
  * multi-lane BatchedReplayDriver, including ragged (non-power-of-two,
  * mixed-variant) batches — and on every follower dispatch tier
- * (win/simd.h): the scalar per-lane oracle and the forced lane-SoA
+ * (win/simd.h): the scalar per-lane pass and the NS/INF lane-SoA
  * pass with SSE2/AVX2 kernels must agree bit-for-bit at every lane
  * width (DESIGN.md §16). Working-set batches must either complete
  * lockstep bit-identically or report divergence so the caller can
@@ -162,8 +163,6 @@ replayTrace(const EventTrace &trace, const FlatTrace &flat,
     ReplayDriver driver(trace, configOf(v), v.policy, &flat);
     driver.setPath(path);
     driver.run();
-    EXPECT_EQ(driver.usedBatchedPath(), path == ReplayPath::Batched)
-        << variantName(v);
     return driver.metrics();
 }
 
@@ -173,12 +172,7 @@ replayOnce(const Variant &v, ReplayPath path)
     return replayTrace(smallTrace(), smallFlat(), v, path);
 }
 
-/**
- * Scoped follower-dispatch pin (win/simd.h). An explicit pin also
- * forces the lane-SoA pass for the sharing schemes, which auto
- * dispatch routes to the per-lane oracle — exactly what these tests
- * need to drive the SoA translation of every scheme.
- */
+/** Scoped follower-dispatch pin (win/simd.h). */
 class ScopedTier
 {
   public:
@@ -197,24 +191,21 @@ hostTiers()
 }
 
 /**
- * The width-1 batched loop is the differential anchor: on a single
- * point lane divergence is impossible, so it must agree with both
- * other loops at every variant — including the working-set ones.
+ * The differential anchor: a default (Auto) ReplayDriver runs the
+ * lockstep loop at width one, where lane divergence is impossible, so
+ * it must agree with the legacy oracle at every variant — every
+ * scheme, policy, PRW reclamation and allocation policy, the
+ * working-set ones included.
  */
-TEST(BatchReplay, Width1BatchedLoopMatchesOracleAndFastEverywhere)
+TEST(BatchReplay, Width1AutoMatchesOracleEverywhere)
 {
-    for (const Variant &v : allVariants()) {
-        const RunMetrics legacy = replayOnce(v, ReplayPath::Legacy);
-        const RunMetrics fast = replayOnce(v, ReplayPath::Fast);
-        const RunMetrics batched = replayOnce(v, ReplayPath::Batched);
-        EXPECT_TRUE(metricsBitIdentical(legacy, batched))
+    for (const Variant &v : allVariants())
+        EXPECT_TRUE(metricsBitIdentical(replayOnce(v, ReplayPath::Legacy),
+                                        replayOnce(v, ReplayPath::Auto)))
             << variantName(v);
-        EXPECT_TRUE(metricsBitIdentical(fast, batched))
-            << variantName(v);
-    }
 }
 
-/** Per-lane differential: batch lanes against per-point fast runs. */
+/** Per-lane differential: batch lanes against per-point runs. */
 void
 expectLanesMatchPerPoint(const std::vector<Variant> &lanes)
 {
@@ -232,7 +223,7 @@ expectLanesMatchPerPoint(const std::vector<Variant> &lanes)
     ASSERT_EQ(batch.lanes(), lanes.size());
     for (std::size_t l = 0; l < lanes.size(); ++l) {
         const RunMetrics solo =
-            replayOnce(lanes[l], ReplayPath::Fast);
+            replayOnce(lanes[l], ReplayPath::Auto);
         EXPECT_TRUE(metricsBitIdentical(solo, batch.metrics(l)))
             << "lane " << l << ": " << variantName(lanes[l]);
     }
@@ -285,7 +276,7 @@ TEST(BatchReplay, SingleLaneBatchDriverMatchesFast)
     BatchedReplayDriver batch(smallTrace(), {configOf(v)}, v.policy,
                               &smallFlat());
     ASSERT_TRUE(batch.run());
-    EXPECT_TRUE(metricsBitIdentical(replayOnce(v, ReplayPath::Fast),
+    EXPECT_TRUE(metricsBitIdentical(replayOnce(v, ReplayPath::Auto),
                                     batch.metrics(0)));
 }
 
@@ -293,17 +284,15 @@ TEST(BatchReplay, SingleLaneBatchDriverMatchesFast)
  * The SIMD follower pass across every lane width the chunking can
  * produce: exact vector multiples (8, 16, 32), partial tail chunks
  * (2, 3, 7) and every host tier must leave each lane bit-identical
- * to its per-point fast replay AND to the scalar-tier batch — the
- * dispatch tier is a host-side choice, never a semantic one. The
- * explicit pin forces the lane-SoA pass for the sharing schemes too,
- * so this exercises the slot-map translation, not just the NS run
- * kernels.
+ * to its per-point replay AND to the scalar-tier batch — the
+ * dispatch tier is a host-side choice, never a semantic one. Only NS
+ * and INF have a lane-SoA pass; the sharing schemes replay per lane
+ * on every tier.
  */
 TEST(BatchReplay, EveryTierBitIdenticalAcrossLaneWidths)
 {
     for (const SchemeKind scheme :
-         {SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP,
-          SchemeKind::Infinite}) {
+         {SchemeKind::NS, SchemeKind::Infinite}) {
         // 33 and 40 cross the 32-lane boundary: lane indices past 31
         // once silently escaped the vector wake check's 32-bit mask
         // accumulator, so widths > 32 must stay covered.
@@ -333,12 +322,12 @@ TEST(BatchReplay, EveryTierBitIdenticalAcrossLaneWidths)
                     ms.push_back(batch.metrics(l));
                 perTier.push_back(std::move(ms));
             }
-            // Tier 0 is the scalar per-lane oracle: pin it against
+            // Tier 0 is the scalar per-lane pass: pin it against
             // fresh per-point replays, then every other tier against
             // it.
             for (std::size_t l = 0; l < width; ++l)
                 EXPECT_TRUE(metricsBitIdentical(
-                    replayOnce(lanes[l], ReplayPath::Fast),
+                    replayOnce(lanes[l], ReplayPath::Auto),
                     perTier[0][l]))
                     << schemeName(scheme) << " width " << width
                     << " scalar lane " << l;
@@ -350,37 +339,6 @@ TEST(BatchReplay, EveryTierBitIdenticalAcrossLaneWidths)
                         << " tier " << t << " lane " << l;
         }
     }
-}
-
-/**
- * Mixed-variant SoA coverage: the per-lane knobs the batch key leaves
- * free (PRW reclamation, allocation policy, ragged window counts)
- * must survive the forced lane-SoA translation on the widest host
- * tier exactly as they do on the scalar oracle.
- */
-TEST(BatchReplay, ForcedSoaHandlesMixedVariantLanes)
-{
-    const ScopedTier pin(cpuMaxSimdTier());
-    std::vector<Variant> lanes;
-    for (const int windows : {4, 9, 17}) {
-        for (const PrwReclaim prw :
-             {PrwReclaim::Lazy, PrwReclaim::Eager,
-              PrwReclaim::EagerFolded})
-            lanes.push_back({SchemeKind::SP, windows,
-                             SchedPolicy::Fifo, prw,
-                             AllocPolicy::Simple});
-        lanes.push_back({SchemeKind::SP, windows, SchedPolicy::Fifo,
-                         PrwReclaim::Eager, AllocPolicy::FreeSearch});
-    }
-    expectLanesMatchPerPoint(lanes);
-
-    std::vector<Variant> snp;
-    for (const AllocPolicy alloc :
-         {AllocPolicy::Simple, AllocPolicy::FreeSearch})
-        for (const int windows : {4, 10, 24})
-            snp.push_back({SchemeKind::SNP, windows, SchedPolicy::Fifo,
-                           PrwReclaim::Eager, alloc});
-    expectLanesMatchPerPoint(snp);
 }
 
 /**
@@ -398,7 +356,7 @@ TEST(BatchReplay, WorkingSetIdenticalLanesNeverDiverge)
         BatchedReplayDriver batch(smallTrace(), configs, v.policy,
                                   &smallFlat());
         ASSERT_TRUE(batch.run()) << schemeName(scheme);
-        const RunMetrics solo = replayOnce(v, ReplayPath::Fast);
+        const RunMetrics solo = replayOnce(v, ReplayPath::Auto);
         for (std::size_t l = 0; l < batch.lanes(); ++l)
             EXPECT_TRUE(metricsBitIdentical(solo, batch.metrics(l)))
                 << schemeName(scheme) << " lane " << l;
@@ -431,17 +389,15 @@ TEST(BatchReplay, WorkingSetBatchCompletesExactlyOrReportsDivergence)
         if (batch.run()) {
             for (std::size_t l = 0; l < lanes.size(); ++l)
                 EXPECT_TRUE(metricsBitIdentical(
-                    replayOnce(lanes[l], ReplayPath::Fast),
+                    replayOnce(lanes[l], ReplayPath::Auto),
                     batch.metrics(l)))
                     << "lane " << l << ": " << variantName(lanes[l]);
         } else {
             sawDivergence = true;
             for (const Variant &v : lanes) {
-                const RunMetrics fast =
-                    replayOnce(v, ReplayPath::Fast);
-                const RunMetrics legacy =
-                    replayOnce(v, ReplayPath::Legacy);
-                EXPECT_TRUE(metricsBitIdentical(legacy, fast))
+                EXPECT_TRUE(metricsBitIdentical(
+                    replayOnce(v, ReplayPath::Legacy),
+                    replayOnce(v, ReplayPath::Auto)))
                     << variantName(v);
             }
         }
@@ -454,63 +410,16 @@ TEST(BatchReplay, WorkingSetBatchCompletesExactlyOrReportsDivergence)
 }
 
 /**
- * Divergence inside a partially-filled SIMD chunk: seven lanes pad to
- * one eight-wide AVX2 vector (or two SSE2 vectors, the last half
- * full), and the forced SoA pass must abort at the first working-set
- * wake whose recorded answer any LIVE lane contradicts — the masked
- * padding lanes never vote. As everywhere, either outcome per scheme
- * is legal (complete bit-identical, or report divergence and leave
- * fresh per-point drivers untainted), and at least one scheme must
- * actually diverge or the mid-vector abort path has no coverage.
- */
-TEST(BatchReplay, ForcedSoaDivergesCleanlyMidChunk)
-{
-    bool sawDivergence = false;
-    for (const SimdTier tier : hostTiers()) {
-        if (tier == SimdTier::Scalar)
-            continue;
-        const ScopedTier pin(tier);
-        for (const SchemeKind scheme :
-             {SchemeKind::SNP, SchemeKind::SP}) {
-            std::vector<Variant> lanes;
-            for (const int windows : {4, 6, 8, 12, 16, 24, 32})
-                lanes.push_back({scheme, windows,
-                                 SchedPolicy::WorkingSet,
-                                 PrwReclaim::Eager,
-                                 AllocPolicy::Simple});
-            std::vector<EngineConfig> configs;
-            for (const Variant &v : lanes)
-                configs.push_back(configOf(v));
-            BatchedReplayDriver batch(smallTrace(), configs,
-                                      SchedPolicy::WorkingSet,
-                                      &smallFlat());
-            if (batch.run()) {
-                for (std::size_t l = 0; l < lanes.size(); ++l)
-                    EXPECT_TRUE(metricsBitIdentical(
-                        replayOnce(lanes[l], ReplayPath::Fast),
-                        batch.metrics(l)))
-                        << simdTierName(tier) << " lane " << l;
-            } else {
-                sawDivergence = true;
-                for (const Variant &v : lanes)
-                    EXPECT_TRUE(metricsBitIdentical(
-                        replayOnce(v, ReplayPath::Legacy),
-                        replayOnce(v, ReplayPath::Fast)))
-                        << simdTierName(tier) << ": "
-                        << variantName(v);
-            }
-        }
-    }
-    EXPECT_TRUE(sawDivergence);
-}
-
-/**
- * Regression: the vector wake check must vote EVERY live lane, not
- * just the first 32 — batch width is bounded by kMaxReplayBatch
- * (1024), not by one movemask accumulator word. The disagreeing
- * config is parked at the highest lane indices, so a check that stops
- * (or wraps its shifts) at lane 32 "completes" the batch with wrong
- * high-lane results instead of reporting divergence.
+ * Regression: the wake check must vote EVERY live lane, not just the
+ * first 32 — batch width is bounded by kMaxReplayBatch (1024), not by
+ * one movemask accumulator word. The disagreeing config is parked at
+ * the highest lane indices, so a check that stops (or wraps its
+ * shifts) at lane 32 "completes" the batch with wrong high-lane
+ * results instead of reporting divergence. Only the sharing schemes'
+ * lanes can disagree on residency (NS flushes every switched-out
+ * thread, so every NS lane answers alike), and they vote per lane on
+ * every tier; the vector vote itself is pinned beyond lane 32 in
+ * LaneSoaKernels.WakeMismatchMasksPaddingLanes.
  */
 TEST(BatchReplay, WideWorkingSetBatchChecksLanesBeyond32)
 {
@@ -540,7 +449,7 @@ TEST(BatchReplay, WideWorkingSetBatchChecksLanesBeyond32)
             if (batch.run()) {
                 for (std::size_t l = 0; l < lanes.size(); ++l)
                     EXPECT_TRUE(metricsBitIdentical(
-                        replayOnce(lanes[l], ReplayPath::Fast),
+                        replayOnce(lanes[l], ReplayPath::Auto),
                         batch.metrics(l)))
                         << simdTierName(tier) << " "
                         << schemeName(scheme) << " lane " << l;
@@ -549,7 +458,7 @@ TEST(BatchReplay, WideWorkingSetBatchChecksLanesBeyond32)
                 for (const Variant &v : lanes)
                     EXPECT_TRUE(metricsBitIdentical(
                         replayOnce(v, ReplayPath::Legacy),
-                        replayOnce(v, ReplayPath::Fast)))
+                        replayOnce(v, ReplayPath::Auto)))
                         << simdTierName(tier) << ": "
                         << variantName(v);
             }
@@ -564,10 +473,9 @@ TEST(BatchReplay, WideWorkingSetBatchChecksLanesBeyond32)
 
 /**
  * The published follower pass must be the one actually dispatched
- * (replay.simd_path feeds off BatchedReplayDriver::simdPath): under
- * `auto` the sharing schemes pin to the scalar per-lane oracle and
- * must say so, NS takes the SoA pass at the ambient tier, and an
- * explicit pin forces — and reports — the pinned pass everywhere.
+ * (replay.simd_path feeds off BatchedReplayDriver::simdPath): NS
+ * takes the SoA pass at the pinned (or ambient) vector tier, and the
+ * sharing schemes report the scalar per-lane pass on every tier.
  */
 TEST(BatchReplay, DriverReportsDispatchedSimdPath)
 {
@@ -580,28 +488,20 @@ TEST(BatchReplay, DriverReportsDispatchedSimdPath)
         EXPECT_TRUE(batch.run()) << schemeName(scheme);
         return batch.simdPath();
     };
-    // Auto dispatch (no override, CRW_SIMD unset in the test env):
-    // NS vectorizes at the ambient tier, the sharing schemes pin to
-    // the oracle.
-    const SimdTier ambient = effectiveSimdTier();
-    if (!simdTierExplicit() && ambient != SimdTier::Scalar) {
-        EXPECT_EQ(runBatch(SchemeKind::NS), ambient);
-        EXPECT_EQ(runBatch(SchemeKind::SP), SimdTier::Scalar);
-        EXPECT_EQ(runBatch(SchemeKind::SNP), SimdTier::Scalar);
-    }
+    EXPECT_EQ(runBatch(SchemeKind::NS), effectiveSimdTier());
     for (const SimdTier tier : hostTiers()) {
         const ScopedTier pin(tier);
         EXPECT_EQ(runBatch(SchemeKind::NS), tier);
-        EXPECT_EQ(runBatch(SchemeKind::SP), tier);
+        EXPECT_EQ(runBatch(SchemeKind::SP), SimdTier::Scalar);
+        EXPECT_EQ(runBatch(SchemeKind::SNP), SimdTier::Scalar);
     }
 }
 
 /**
  * The full policy family on a prioritized, lock-contended synthetic
- * behavior: every policy must produce bit-identical RunMetrics across
- * the Legacy oracle, the Fast loop and the width-1 Batched loop —
- * the replay paths may never disagree, whichever policy reorders the
- * dispatches.
+ * behavior: every policy must produce bit-identical RunMetrics on the
+ * Legacy oracle and the default (width-1 lockstep) loop — the replay
+ * paths may never disagree, whichever policy reorders the dispatches.
  */
 TEST(BatchReplay, AllPoliciesAgreeAcrossPathsOnPrioritizedSynth)
 {
@@ -612,16 +512,11 @@ TEST(BatchReplay, AllPoliciesAgreeAcrossPathsOnPrioritizedSynth)
                 const Variant v{scheme, windows, policy,
                                 PrwReclaim::Eager,
                                 AllocPolicy::Simple};
-                const RunMetrics legacy = replayTrace(
-                    synthTrace(), synthFlat(), v, ReplayPath::Legacy);
-                const RunMetrics fast = replayTrace(
-                    synthTrace(), synthFlat(), v, ReplayPath::Fast);
-                const RunMetrics batched =
+                EXPECT_TRUE(metricsBitIdentical(
                     replayTrace(synthTrace(), synthFlat(), v,
-                                ReplayPath::Batched);
-                EXPECT_TRUE(metricsBitIdentical(legacy, batched))
-                    << variantName(v);
-                EXPECT_TRUE(metricsBitIdentical(fast, batched))
+                                ReplayPath::Legacy),
+                    replayTrace(synthTrace(), synthFlat(), v,
+                                ReplayPath::Auto)))
                     << variantName(v);
             }
         }
@@ -632,7 +527,7 @@ TEST(BatchReplay, AllPoliciesAgreeAcrossPathsOnPrioritizedSynth)
  * The lane-invariant policies (everything but the working-set family)
  * read no engine state, so a ragged multi-window batch must complete
  * lockstep — never diverge — with every lane bit-identical to its
- * per-point fast replay, even on the prioritized synthetic behavior.
+ * per-point replay, even on the prioritized synthetic behavior.
  */
 TEST(BatchReplay, LaneInvariantPoliciesBatchLocksteppedOnSynth)
 {
@@ -652,7 +547,7 @@ TEST(BatchReplay, LaneInvariantPoliciesBatchLocksteppedOnSynth)
         for (std::size_t l = 0; l < lanes.size(); ++l)
             EXPECT_TRUE(metricsBitIdentical(
                 replayTrace(synthTrace(), synthFlat(), lanes[l],
-                            ReplayPath::Fast),
+                            ReplayPath::Auto),
                 batch.metrics(l)))
                 << policyName(policy) << " lane " << l;
     }
@@ -674,17 +569,17 @@ TEST(BatchReplay, PriorityReducesToFifoWithoutPrioritiesOnly)
     // RunMetrics names its own policy, so normalize that identity
     // field: what must (or must not) coincide is the schedule-derived
     // remainder.
-    RunMetrics priSpell = replayOnce(pri, ReplayPath::Fast);
+    RunMetrics priSpell = replayOnce(pri, ReplayPath::Auto);
     priSpell.policy = SchedPolicy::Fifo;
-    EXPECT_TRUE(metricsBitIdentical(replayOnce(fifo, ReplayPath::Fast),
+    EXPECT_TRUE(metricsBitIdentical(replayOnce(fifo, ReplayPath::Auto),
                                     priSpell));
 
     RunMetrics priSynth = replayTrace(synthTrace(), synthFlat(), pri,
-                                      ReplayPath::Fast);
+                                      ReplayPath::Auto);
     priSynth.policy = SchedPolicy::Fifo;
     EXPECT_FALSE(metricsBitIdentical(
         replayTrace(synthTrace(), synthFlat(), fifo,
-                    ReplayPath::Fast),
+                    ReplayPath::Auto),
         priSynth));
 }
 

@@ -10,9 +10,8 @@
  *  - padding lanes never leak into wake-mismatch answers;
  *  - $CRW_SIMD parsing is strict (junk warns and falls back to auto,
  *    requests above the CPU clamp with a warning);
- *  - the test/bench override pins the effective tier, marks it
- *    explicit (the signal that forces the SoA pass for the sharing
- *    schemes), and clamps exactly like the env path.
+ *  - the test/bench override pins the effective tier and clamps
+ *    exactly like the env path.
  */
 
 #include <cstdint>
@@ -212,7 +211,9 @@ TEST(LaneSoaKernels, FlavorsAgreeBitForBit)
 
 TEST(LaneSoaKernels, WakeMismatchMasksPaddingLanes)
 {
-    for (const std::size_t lanes : {1u, 3u, 8u, 13u}) {
+    // 33 and 40 put the disagreeing last lane past index 31: the
+    // vote once escaped a 32-bit mask accumulator there.
+    for (const std::size_t lanes : {1u, 3u, 8u, 13u, 33u, 40u}) {
         for (const SimdTier tier : vectorTiers()) {
             const LaneKernels &kern = laneKernels(tier);
             LaneSoA soa = randomSoa(lanes, 1, 7u * lanes + 1);
@@ -266,23 +267,19 @@ TEST(SimdDispatch, ParseIsStrictAndClamps)
               std::string::npos);
 }
 
-TEST(SimdDispatch, OverridePinsClampsAndMarksExplicit)
+TEST(SimdDispatch, OverridePinsAndClamps)
 {
     const SimdTier resting = effectiveSimdTier();
-    const bool restingExplicit = simdTierExplicit();
 
     setSimdTierOverride(SimdTier::Scalar);
     EXPECT_EQ(effectiveSimdTier(), SimdTier::Scalar);
-    EXPECT_TRUE(simdTierExplicit());
 
     // Requests above the host clamp exactly like $CRW_SIMD.
     setSimdTierOverride(SimdTier::Avx2);
     EXPECT_EQ(effectiveSimdTier(), cpuMaxSimdTier());
-    EXPECT_TRUE(simdTierExplicit());
 
     clearSimdTierOverride();
     EXPECT_EQ(effectiveSimdTier(), resting);
-    EXPECT_EQ(simdTierExplicit(), restingExplicit);
 }
 
 TEST(SimdDispatch, TierNamesRoundTrip)
