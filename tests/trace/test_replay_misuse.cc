@@ -3,17 +3,16 @@
  * ReplayDriver lifecycle misuse is fatal, not silent: metrics() before
  * run() would report an all-zero record and run() twice would
  * accumulate into finished counters; each must throw with the replay
- * coordinate in the message. And the oracle-only features — the
- * timeline observer and the post-event invariant walk — route a
- * default (Auto) run onto the oracle loop instead of being dropped.
+ * coordinate in the message. And the oracle-only post-event invariant
+ * walk is never dropped: the production loop refuses it, and a
+ * default (Auto) run carrying it takes the oracle loop instead.
  */
-
-#include <cstdint>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
 #include "trace/event_trace.h"
+#include "trace/replay_batch.h"
 #include "trace/replay_driver.h"
 #include "trace/run_metrics.h"
 #include "trace/synth.h"
@@ -53,75 +52,28 @@ TEST(ReplayMisuse, DoubleRunIsFatal)
     EXPECT_EQ(driver.metrics().saves, 1u);
 }
 
-/** Digest of every observer callback, order-sensitive via the mix. */
-class DigestObserver final : public EngineObserver
+/**
+ * The production view refuses invariant-checking engines: the
+ * post-event invariant walk only exists on the oracle loop, so a
+ * lockstep batch carrying one must fail loudly instead of silently
+ * skipping the checks.
+ */
+TEST(ReplayMisuse, FastPathRefusesCheckInvariants)
 {
-  public:
-    void
-    onSave(ThreadId tid, int depth) override
-    {
-        mix(1, tid, depth, 0, 0);
-    }
-    void
-    onRestore(ThreadId tid, int depth) override
-    {
-        mix(2, tid, depth, 0, 0);
-    }
-    void
-    onSwitch(ThreadId from, ThreadId to, int to_depth, Cycles begin,
-             Cycles end) override
-    {
-        mix(3, from, to, begin, end);
-        mix(3, to_depth, 0, 0, 0);
-    }
-    void onExit(ThreadId tid) override { mix(4, tid, 0, 0, 0); }
-    void
-    onSaveTimed(ThreadId tid, int depth, Cycles begin,
-                Cycles end) override
-    {
-        mix(5, tid, depth, begin, end);
-    }
-    void
-    onRestoreTimed(ThreadId tid, int depth, Cycles begin,
-                   Cycles end) override
-    {
-        mix(6, tid, depth, begin, end);
-    }
-    void
-    onTrap(ThreadId tid, bool overflow, int windows_moved,
-           Cycles begin, Cycles end) override
-    {
-        mix(overflow ? 7 : 8, tid, windows_moved, begin, end);
-    }
-
-    std::uint64_t digest() const { return digest_; }
-    std::uint64_t events() const { return events_; }
-
-  private:
-    void
-    mix(std::uint64_t tag, std::uint64_t a, std::uint64_t b,
-        std::uint64_t c, std::uint64_t d)
-    {
-        ++events_;
-        for (const std::uint64_t v : {tag, a, b, c, d}) {
-            digest_ ^= v + 0x9e3779b97f4a7c15ull + (digest_ << 6) +
-                       (digest_ >> 2);
-        }
-    }
-
-    std::uint64_t digest_ = 0;
-    std::uint64_t events_ = 0;
-};
+    const EventTrace trace = tinyTrace();
+    EngineConfig ec;
+    ec.checkInvariants = true;
+    EXPECT_THROW(BatchedReplayDriver(trace, {ec}, SchedPolicy::Fifo),
+                 FatalError);
+}
 
 /**
- * An Auto run carrying an observer or checkInvariants takes the
- * oracle loop — the production view has no observer hooks and refuses
- * invariant-checking engines, so a delivered callback stream and a
- * completed checked run both prove it — and is bit-identical to a
- * headless Auto run, which takes the production loop. The observer
- * sees exactly the callback stream of a forced-Legacy run.
+ * A default (Auto) run with checkInvariants takes the oracle loop —
+ * completing at all proves it, since the production view refuses such
+ * engines — and is bit-identical to a headless Auto run, which takes
+ * the production loop.
  */
-TEST(ReplayMisuse, AutoWithObserverOrInvariantsTakesOracle)
+TEST(ReplayMisuse, AutoWithInvariantsFallsBackToOracle)
 {
     SynthSpec spec;
     spec.topology = SynthSpec::Topology::FanInOut;
@@ -140,23 +92,6 @@ TEST(ReplayMisuse, AutoWithObserverOrInvariantsTakesOracle)
         const SchedPolicy policy = SchedPolicy::WorkingSet;
         ReplayDriver headless(trace, ec, policy);
         headless.run();
-
-        DigestObserver auto_obs, legacy_obs;
-        ReplayDriver observed(trace, ec, policy);
-        observed.engine().setObserver(&auto_obs);
-        observed.run();
-        ReplayDriver legacy(trace, ec, policy);
-        legacy.setPath(ReplayPath::Legacy);
-        legacy.engine().setObserver(&legacy_obs);
-        legacy.run();
-        EXPECT_TRUE(
-            metricsBitIdentical(headless.metrics(), observed.metrics()))
-            << schemeName(scheme);
-        EXPECT_GT(auto_obs.events(), 0u) << schemeName(scheme);
-        EXPECT_EQ(auto_obs.events(), legacy_obs.events())
-            << schemeName(scheme);
-        EXPECT_EQ(auto_obs.digest(), legacy_obs.digest())
-            << schemeName(scheme);
 
         EngineConfig checked = ec;
         checked.checkInvariants = true;

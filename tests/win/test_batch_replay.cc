@@ -192,12 +192,12 @@ hostTiers()
 
 /**
  * The differential anchor: a default (Auto) ReplayDriver runs the
- * lockstep loop at width one, where lane divergence is impossible, so
- * it must agree with the legacy oracle at every variant — every
- * scheme, policy, PRW reclamation and allocation policy, the
- * working-set ones included.
+ * lockstep loop at width one — the production per-point path — where
+ * lane divergence is impossible, so it must agree with the legacy
+ * oracle at every variant: every scheme, policy, PRW reclamation and
+ * allocation policy, the working-set ones included.
  */
-TEST(BatchReplay, Width1AutoMatchesOracleEverywhere)
+TEST(BatchReplay, Width1BatchedLoopMatchesOracleAndFastEverywhere)
 {
     for (const Variant &v : allVariants())
         EXPECT_TRUE(metricsBitIdentical(replayOnce(v, ReplayPath::Legacy),

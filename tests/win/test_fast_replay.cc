@@ -1,11 +1,13 @@
 /**
  * @file
- * The oracle contract of the devirtualized replay fast path
- * (win/engine_fast.h, DESIGN.md §12): replaying one captured trace
- * through the specialized loop must produce RunMetrics bit-identical
- * to the virtual-Scheme oracle loop at every (scheme, windows,
- * policy, PRW-reclaim, alloc-policy) point, and must deliver the
- * exact same observer callback stream when an observer is installed.
+ * The oracle contract of per-point replay (DESIGN.md §12): a default
+ * ReplayDriver that predecodes the trace itself and runs the
+ * production loop — the lockstep loop of trace/replay_batch.h at
+ * width one — must produce RunMetrics bit-identical to the
+ * virtual-Scheme oracle loop at every (scheme, windows, policy,
+ * PRW-reclaim, alloc-policy) point; and a default run carrying an
+ * observer must replay on the oracle and deliver the exact callback
+ * stream of a forced-oracle run.
  */
 
 #include <cstdint>
@@ -163,41 +165,51 @@ replayOnce(const Variant &v, ReplayPath path,
     if (observer)
         driver.engine().setObserver(observer);
     driver.run();
-    EXPECT_EQ(driver.usedFastPath(), path == ReplayPath::Fast);
     return driver.metrics();
 }
 
+/**
+ * No FlatTrace is attached here, so every production run predecodes
+ * privately; the batch-replay width-1 anchor covers the attached case.
+ */
 TEST(FastReplayEquivalence, BitIdenticalMetricsAcrossAllVariants)
 {
     for (const Variant &v : allVariants()) {
         const RunMetrics legacy =
             replayOnce(v, ReplayPath::Legacy, nullptr);
-        const RunMetrics fast =
-            replayOnce(v, ReplayPath::Fast, nullptr);
-        EXPECT_TRUE(metricsBitIdentical(legacy, fast))
+        const RunMetrics production =
+            replayOnce(v, ReplayPath::Auto, nullptr);
+        EXPECT_TRUE(metricsBitIdentical(legacy, production))
             << variantName(v);
     }
 }
 
+/**
+ * The production view has no observer hooks, so an observed Auto run
+ * takes the oracle: its callback stream equals a forced-Legacy run's,
+ * and its metrics equal a headless Auto (production) run's.
+ */
 TEST(FastReplayEquivalence, IdenticalObserverStreamsWhenInstalled)
 {
-    // One point per scheme is enough: the observer instantiation of
-    // the fast loop is per (scheme, observer-policy) pair.
     for (const SchemeKind scheme :
          {SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP,
           SchemeKind::Infinite}) {
         const Variant v{scheme, 6, SchedPolicy::Fifo,
                         PrwReclaim::Eager, AllocPolicy::Simple};
-        DigestObserver legacy_obs, fast_obs;
+        DigestObserver legacy_obs, auto_obs;
         const RunMetrics legacy =
             replayOnce(v, ReplayPath::Legacy, &legacy_obs);
-        const RunMetrics fast =
-            replayOnce(v, ReplayPath::Fast, &fast_obs);
-        EXPECT_TRUE(metricsBitIdentical(legacy, fast))
+        const RunMetrics observed =
+            replayOnce(v, ReplayPath::Auto, &auto_obs);
+        const RunMetrics headless =
+            replayOnce(v, ReplayPath::Auto, nullptr);
+        EXPECT_TRUE(metricsBitIdentical(legacy, observed))
             << variantName(v);
-        EXPECT_EQ(legacy_obs.events(), fast_obs.events())
+        EXPECT_TRUE(metricsBitIdentical(headless, observed))
             << variantName(v);
-        EXPECT_EQ(legacy_obs.digest(), fast_obs.digest())
+        EXPECT_EQ(legacy_obs.events(), auto_obs.events())
+            << variantName(v);
+        EXPECT_EQ(legacy_obs.digest(), auto_obs.digest())
             << variantName(v);
         EXPECT_GT(legacy_obs.events(), 0u) << variantName(v);
     }
