@@ -65,14 +65,6 @@ replayBatchCap()
                                defaultReplayBatchCap());
 }
 
-/** Mirror of the replay driver's CRW_REPLAY_FAST=0 oracle pin. */
-bool
-fastReplayEnabled()
-{
-    const char *v = std::getenv("CRW_REPLAY_FAST");
-    return !(v && v[0] == '0' && v[1] == '\0');
-}
-
 /** Raise the named counter to at least @p v (CAS max — the result is
  *  independent of the order concurrent batches finish in). */
 void
@@ -84,6 +76,40 @@ counterAtLeast(const std::string &name, std::uint64_t v)
            !c.compare_exchange_weak(cur, v,
                                     std::memory_order_relaxed)) {
     }
+}
+
+/** A point's obs label: "<trace key>/<scheme>/w<windows>/<policy>". */
+std::string
+pointLabel(const std::string &trace_key, const EngineConfig &config,
+           SchedPolicy policy)
+{
+    return trace_key + "/" + schemeName(config.scheme) + "/w" +
+           std::to_string(config.numWindows) + "/" + policyName(policy);
+}
+
+/**
+ * Publish one replayed point's obs record (a no-op with obs off): the
+ * engine's point record plus the schedule statistics of the core that
+ * drove it, merged under the point's label, and the point's manifest
+ * coverage. Every lane of a lockstep batch publishes its batch's
+ * shared core: its schedule statistics are what each per-point core
+ * would have recorded (the schedules are identical — that is what
+ * made the batch sound), so the merged records stay bit-identical to
+ * an unbatched run.
+ */
+void
+publishPoint(const std::string &trace_key, const EngineConfig &config,
+             SchedPolicy policy, const WindowEngine &engine,
+             const SchedCore &core)
+{
+    if (!obsEnabled())
+        return;
+    obs::PointRecord rec = obs::pointFromEngine(engine);
+    obs::publishSchedCore(core, rec);
+    metrics().mergePoint(pointLabel(trace_key, config, policy), rec);
+    manifestNote("schemes", schemeName(config.scheme));
+    manifestNote("windows", std::to_string(config.numWindows));
+    manifestNote("policies", policyName(policy));
 }
 
 /**
@@ -142,24 +168,8 @@ runLockstepUnit(const std::vector<PlanPoint> &misses,
                     static_cast<std::uint32_t>(p.engine.numWindows),
                     0);
         results[unit[lane]] = driver.metrics(lane);
-        if (!obsEnabled())
-            continue;
-        // The exact publication replayPoint() performs per point. The
-        // shared core's schedule statistics are what each of the K
-        // per-point cores would have recorded (the schedules are
-        // identical — that is what made the batch sound), so the
-        // merged records stay bit-identical to an unbatched run.
-        const std::string label =
-            trace.key + "/" + schemeName(p.engine.scheme) + "/w" +
-            std::to_string(p.engine.numWindows) + "/" +
-            policyName(p.policy);
-        obs::PointRecord rec =
-            obs::pointFromEngine(driver.engine(lane));
-        obs::publishSchedCore(driver.core(), rec);
-        metrics().mergePoint(label, rec);
-        manifestNote("schemes", schemeName(p.engine.scheme));
-        manifestNote("windows", std::to_string(p.engine.numWindows));
-        manifestNote("policies", policyName(p.policy));
+        publishPoint(trace.key, p.engine, p.policy, driver.engine(lane),
+                     driver.core());
     }
 }
 
@@ -259,7 +269,7 @@ executePoints(const std::vector<PlanPoint> &points)
     // pins it off.
     const std::size_t cap = replayBatchCap();
     const bool batching =
-        cap > 1 && fastReplayEnabled() && !traceRequested();
+        cap > 1 && productionReplayEnabled() && !traceRequested();
     std::vector<std::vector<std::size_t>> units;
     if (batching) {
         std::map<std::string, std::vector<std::size_t>> groups;
@@ -430,12 +440,6 @@ cachedTrace(const BehaviorId &behavior)
     return cache.emplace(key, std::move(trace)).first->second;
 }
 
-const EventTrace &
-cachedTrace(ConcurrencyLevel conc, GranularityLevel gran)
-{
-    return cachedTrace(BehaviorId::spell(conc, gran));
-}
-
 const FlatTrace &
 cachedFlatTrace(const BehaviorId &behavior)
 {
@@ -486,12 +490,6 @@ cachedFlatTrace(const BehaviorId &behavior)
         .first->second;
 }
 
-const FlatTrace &
-cachedFlatTrace(ConcurrencyLevel conc, GranularityLevel gran)
-{
-    return cachedFlatTrace(BehaviorId::spell(conc, gran));
-}
-
 std::uint64_t
 cachedTraceChecksum(const BehaviorId &behavior)
 {
@@ -504,12 +502,6 @@ cachedTraceChecksum(const BehaviorId &behavior)
     return memo.emplace(key, sum).first->second;
 }
 
-std::uint64_t
-cachedTraceChecksum(ConcurrencyLevel conc, GranularityLevel gran)
-{
-    return cachedTraceChecksum(BehaviorId::spell(conc, gran));
-}
-
 RunMetrics
 replayPoint(const EventTrace &trace, const EngineConfig &engine,
             SchedPolicy policy, const FlatTrace *flat)
@@ -518,47 +510,22 @@ replayPoint(const EventTrace &trace, const EngineConfig &engine,
     ringPublish(obs::RingEventCode::ReplayPoint,
                 static_cast<std::uint32_t>(engine.numWindows), 0);
     ReplayDriver driver(trace, engine, policy, flat);
-    if (!obsEnabled()) {
-        driver.run();
-        return driver.metrics();
-    }
-
-    const std::string label =
-        trace.key + "/" + schemeName(engine.scheme) + "/w" +
-        std::to_string(engine.numWindows) + "/" + policyName(policy);
-
     // Timeline recording is bounded to the paper's headline window
-    // count so a full sweep doesn't emit one track per point. The
-    // replay hot loop drives the tracker directly, so installing an
-    // engine observer costs nothing at the other points.
-    obs::EngineTimeline timeline(label, traceSpanLimit());
-    const bool record = traceRequested() && engine.numWindows == 8;
-    if (record)
+    // count so a full sweep doesn't emit one track per point; the
+    // observer moves only these points onto the oracle loop.
+    if (traceRequested() && engine.numWindows == 8) {
+        obs::EngineTimeline timeline(pointLabel(trace.key, engine, policy),
+                                     traceSpanLimit());
         driver.engine().setObserver(&timeline);
-    driver.run();
-    if (record) {
+        driver.run();
         driver.engine().setObserver(nullptr);
         traceWriter().addTrack(timeline.take());
+    } else {
+        driver.run();
     }
-
-    obs::PointRecord rec = obs::pointFromEngine(driver.engine());
-    obs::publishSchedCore(driver.core(), rec);
-    metrics().mergePoint(label, rec);
-    manifestNote("schemes", schemeName(engine.scheme));
-    manifestNote("windows", std::to_string(engine.numWindows));
-    manifestNote("policies", policyName(policy));
+    publishPoint(trace.key, engine, policy, driver.engine(),
+                 driver.core());
     return driver.metrics();
-}
-
-RunMetrics
-replayPoint(const EventTrace &trace, SchemeKind scheme, int windows,
-            SchedPolicy policy)
-{
-    EngineConfig ec;
-    ec.scheme = scheme;
-    ec.numWindows = windows;
-    ec.checkInvariants = false;
-    return replayPoint(trace, ec, policy);
 }
 
 const std::vector<int> &
@@ -600,14 +567,6 @@ sweepSchemes(const BehaviorId &behavior, SchedPolicy policy,
                 makePlanPoint(behavior, schemes[si], windows[wi],
                               policy));
     return sweep;
-}
-
-SchemeSweep
-sweepSchemes(ConcurrencyLevel conc, GranularityLevel gran,
-             SchedPolicy policy, const std::vector<int> &windows)
-{
-    return sweepSchemes(BehaviorId::spell(conc, gran), policy,
-                        windows);
 }
 
 void

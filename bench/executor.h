@@ -96,13 +96,9 @@ const RunMetrics &pointResult(const PlanPoint &point);
  * executor captures before fanning out.
  */
 const EventTrace &cachedTrace(const BehaviorId &behavior);
-const EventTrace &cachedTrace(ConcurrencyLevel conc,
-                              GranularityLevel gran);
 
 /** FNV-1a checksum of the behavior's trace (capture-once, memoized). */
 std::uint64_t cachedTraceChecksum(const BehaviorId &behavior);
-std::uint64_t cachedTraceChecksum(ConcurrencyLevel conc,
-                                  GranularityLevel gran);
 
 /**
  * The predecoded flat image of the behavior's trace (flat_trace.h),
@@ -111,8 +107,6 @@ std::uint64_t cachedTraceChecksum(ConcurrencyLevel conc,
  * the underlying trace must already be captured (cachedTrace).
  */
 const FlatTrace &cachedFlatTrace(const BehaviorId &behavior);
-const FlatTrace &cachedFlatTrace(ConcurrencyLevel conc,
-                                 GranularityLevel gran);
 
 /**
  * Replay @p trace at one configuration point — always a live replay,
@@ -124,8 +118,6 @@ const FlatTrace &cachedFlatTrace(ConcurrencyLevel conc,
 RunMetrics replayPoint(const EventTrace &trace,
                        const EngineConfig &engine, SchedPolicy policy,
                        const FlatTrace *flat = nullptr);
-RunMetrics replayPoint(const EventTrace &trace, SchemeKind scheme,
-                       int windows, SchedPolicy policy);
 
 /** The window counts swept by the figure benches (paper: 4..32). */
 const std::vector<int> &defaultWindowSweep();
@@ -152,9 +144,6 @@ struct SchemeSweep
  * executor's results (points not yet executed are run, in parallel).
  */
 SchemeSweep sweepSchemes(const BehaviorId &behavior,
-                         SchedPolicy policy,
-                         const std::vector<int> &windows);
-SchemeSweep sweepSchemes(ConcurrencyLevel conc, GranularityLevel gran,
                          SchedPolicy policy,
                          const std::vector<int> &windows);
 

@@ -46,9 +46,9 @@ PlanPoint
 variantPoint(SchemeKind scheme, int windows, PrwReclaim reclaim,
              AllocPolicy alloc)
 {
-    PlanPoint p = makePlanPoint(ConcurrencyLevel::High,
-                                GranularityLevel::Fine, scheme,
-                                windows, SchedPolicy::Fifo);
+    PlanPoint p = makePlanPoint(
+        BehaviorId::spell(ConcurrencyLevel::High, GranularityLevel::Fine),
+        scheme, windows, SchedPolicy::Fifo);
     p.engine.prwReclaim = reclaim;
     p.engine.allocPolicy = alloc;
     return p;

@@ -35,8 +35,9 @@ planFig11(ExperimentPlan &plan)
     for (const GranularityLevel gran :
          {GranularityLevel::Fine, GranularityLevel::Medium,
           GranularityLevel::Coarse})
-        plan.addSweep(ConcurrencyLevel::High, gran, SchedPolicy::Fifo,
-                      evaluatedSchemes(), defaultWindowSweep());
+        plan.addSweep(BehaviorId::spell(ConcurrencyLevel::High, gran),
+                      SchedPolicy::Fifo, evaluatedSchemes(),
+                      defaultWindowSweep());
 }
 
 int
@@ -55,7 +56,7 @@ runFig11(const FlagSet &)
          {GranularityLevel::Fine, GranularityLevel::Medium,
           GranularityLevel::Coarse}) {
         const SchemeSweep sweep =
-            sweepSchemes(ConcurrencyLevel::High, gran,
+            sweepSchemes(BehaviorId::spell(ConcurrencyLevel::High, gran),
                          SchedPolicy::Fifo, defaultWindowSweep());
         const std::string gname = granularityName(gran);
         emitSweepPanel(

@@ -34,8 +34,9 @@ planFig12(ExperimentPlan &plan)
     for (const GranularityLevel gran :
          {GranularityLevel::Fine, GranularityLevel::Medium,
           GranularityLevel::Coarse})
-        plan.addSweep(ConcurrencyLevel::High, gran, SchedPolicy::Fifo,
-                      evaluatedSchemes(), defaultWindowSweep());
+        plan.addSweep(BehaviorId::spell(ConcurrencyLevel::High, gran),
+                      SchedPolicy::Fifo, evaluatedSchemes(),
+                      defaultWindowSweep());
 }
 
 int
@@ -58,7 +59,7 @@ runFig12(const FlagSet &)
          {GranularityLevel::Fine, GranularityLevel::Medium,
           GranularityLevel::Coarse}) {
         const SchemeSweep sweep =
-            sweepSchemes(ConcurrencyLevel::High, gran,
+            sweepSchemes(BehaviorId::spell(ConcurrencyLevel::High, gran),
                          SchedPolicy::Fifo, defaultWindowSweep());
         const std::string gname = granularityName(gran);
         emitSweepPanel("Figure 12 (" + gname +

@@ -47,11 +47,13 @@ planFig14(ExperimentPlan &plan)
     for (const GranularityLevel gran :
          {GranularityLevel::Fine, GranularityLevel::Medium,
           GranularityLevel::Coarse})
-        plan.addSweep(ConcurrencyLevel::Low, gran, SchedPolicy::Fifo,
-                      evaluatedSchemes(), defaultWindowSweep());
+        plan.addSweep(BehaviorId::spell(ConcurrencyLevel::Low, gran),
+                      SchedPolicy::Fifo, evaluatedSchemes(),
+                      defaultWindowSweep());
     // The cross-figure check compares against the HC coarse sweep
     // (shared with fig11/12/13 when run together).
-    plan.addSweep(ConcurrencyLevel::High, GranularityLevel::Coarse,
+    plan.addSweep(BehaviorId::spell(ConcurrencyLevel::High,
+                                    GranularityLevel::Coarse),
                   SchedPolicy::Fifo, evaluatedSchemes(),
                   defaultWindowSweep());
 }
@@ -72,7 +74,7 @@ runFig14(const FlagSet &)
          {GranularityLevel::Fine, GranularityLevel::Medium,
           GranularityLevel::Coarse}) {
         const SchemeSweep sweep =
-            sweepSchemes(ConcurrencyLevel::Low, gran,
+            sweepSchemes(BehaviorId::spell(ConcurrencyLevel::Low, gran),
                          SchedPolicy::Fifo, defaultWindowSweep());
         const std::string gname = granularityName(gran);
         emitSweepPanel(
@@ -92,8 +94,8 @@ runFig14(const FlagSet &)
                 sweep.windows[saturationIndex(sweep, 2)];
             // Compare against the high-concurrency coarse case.
             const SchemeSweep hc =
-                sweepSchemes(ConcurrencyLevel::High,
-                             GranularityLevel::Coarse,
+                sweepSchemes(BehaviorId::spell(ConcurrencyLevel::High,
+                                               GranularityLevel::Coarse),
                              SchedPolicy::Fifo, defaultWindowSweep());
             sat_hc_coarse = hc.windows[saturationIndex(hc, 2)];
         }

@@ -36,12 +36,13 @@ planFig15(ExperimentPlan &plan)
     for (const GranularityLevel gran :
          {GranularityLevel::Fine, GranularityLevel::Medium,
           GranularityLevel::Coarse}) {
-        plan.addSweep(ConcurrencyLevel::High, gran,
-                      SchedPolicy::WorkingSet, evaluatedSchemes(),
+        const BehaviorId hc = BehaviorId::spell(ConcurrencyLevel::High,
+                                                gran);
+        plan.addSweep(hc, SchedPolicy::WorkingSet, evaluatedSchemes(),
                       defaultWindowSweep());
         // FIFO baseline, shared with fig11/12/13 when run together.
-        plan.addSweep(ConcurrencyLevel::High, gran, SchedPolicy::Fifo,
-                      evaluatedSchemes(), defaultWindowSweep());
+        plan.addSweep(hc, SchedPolicy::Fifo, evaluatedSchemes(),
+                      defaultWindowSweep());
     }
 }
 
@@ -59,9 +60,10 @@ runFig15(const FlagSet &)
          {GranularityLevel::Fine, GranularityLevel::Medium,
           GranularityLevel::Coarse}) {
         const std::string gname = granularityName(gran);
-        const SchemeSweep ws =
-            sweepSchemes(ConcurrencyLevel::High, gran,
-                         SchedPolicy::WorkingSet, defaultWindowSweep());
+        const BehaviorId hc = BehaviorId::spell(ConcurrencyLevel::High,
+                                                gran);
+        const SchemeSweep ws = sweepSchemes(hc, SchedPolicy::WorkingSet,
+                                            defaultWindowSweep());
         emitSweepPanel("Figure 15 (" + gname +
                            " granularity): execution time, high "
                            "concurrency, working-set scheduling",
@@ -69,8 +71,7 @@ runFig15(const FlagSet &)
                        mcycles, "fig15_" + gname + ".csv");
 
         const SchemeSweep fifo =
-            sweepSchemes(ConcurrencyLevel::High, gran,
-                         SchedPolicy::Fifo, defaultWindowSweep());
+            sweepSchemes(hc, SchedPolicy::Fifo, defaultWindowSweep());
 
         // Index of 8 windows in the default sweep.
         std::size_t w8 = 0;

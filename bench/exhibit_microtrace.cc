@@ -18,6 +18,7 @@
  * no plan contribution and bypasses the result cache.
  */
 
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -87,28 +88,43 @@ runMicrotrace(const FlagSet &)
         ok = ok && cond;
     };
 
+    // Every (depth, scheme, windows) walk runs once, into one table per
+    // depth indexed [scheme][window index]; the figures, the shape
+    // checks and the saturation scan all read these tables.
+    const std::vector<int> &sweep = defaultWindowSweep();
+    const SchemeKind schemes[] = {SchemeKind::NS, SchemeKind::SNP,
+                                  SchemeKind::SP};
+    const std::size_t kNs = 0, kSp = 2;
+    using WalkTable = std::vector<std::vector<Cycles>>;
+    const auto at = [&sweep](const WalkTable &table, std::size_t scheme,
+                             int windows) {
+        const auto it = std::find(sweep.begin(), sweep.end(), windows);
+        return table[scheme].at(
+            static_cast<std::size_t>(it - sweep.begin()));
+    };
+
+    std::vector<WalkTable> walks;
     for (const int max_depth : {4, 8}) {
+        WalkTable cycles(3, std::vector<Cycles>(sweep.size()));
         Table table({"windows", "NS", "SNP", "SP"});
         AsciiChart chart("Microtrace: walk depth <= " +
                              std::to_string(max_depth),
                          "number of windows", "Mcycles");
         chart.setYFromZero(true);
         std::vector<ChartSeries> series(3);
-        const char *names[] = {"NS", "SNP", "SP"};
-        const SchemeKind schemes[] = {SchemeKind::NS, SchemeKind::SNP,
-                                      SchemeKind::SP};
-        for (int i = 0; i < 3; ++i)
-            series[static_cast<std::size_t>(i)].name = names[i];
+        for (std::size_t i = 0; i < 3; ++i)
+            series[i].name = schemeName(schemes[i]);
 
-        for (const int w : defaultWindowSweep()) {
+        for (std::size_t wi = 0; wi < sweep.size(); ++wi) {
+            const int w = sweep[wi];
             std::vector<std::string> row{std::to_string(w)};
-            for (int i = 0; i < 3; ++i) {
+            for (std::size_t i = 0; i < 3; ++i) {
                 const Cycles c = runWalk(schemes[i], w, 4, max_depth,
                                          200, 3000, 99);
+                cycles[i][wi] = c;
                 row.push_back(formatDouble(c / 1e6, 3));
-                series[static_cast<std::size_t>(i)].xs.push_back(w);
-                series[static_cast<std::size_t>(i)].ys.push_back(
-                    static_cast<double>(c) / 1e6);
+                series[i].xs.push_back(w);
+                series[i].ys.push_back(static_cast<double>(c) / 1e6);
             }
             table.addRow(std::move(row));
         }
@@ -123,35 +139,28 @@ runMicrotrace(const FlagSet &)
         // Saturation scales with total window activity (~threads x
         // depth): the deep walk needs more windows than the shallow
         // one before SP matches its asymptote.
-        const Cycles sp_small =
-            runWalk(SchemeKind::SP, 8, 4, max_depth, 200, 3000, 99);
-        const Cycles sp_large =
-            runWalk(SchemeKind::SP, 32, 4, max_depth, 200, 3000, 99);
+        const Cycles sp_small = at(cycles, kSp, 8);
+        const Cycles sp_large = at(cycles, kSp, 32);
         check(sp_large <= sp_small,
               "more windows never hurt SP (depth " +
                   std::to_string(max_depth) + ")");
-        const Cycles ns_large =
-            runWalk(SchemeKind::NS, 32, 4, max_depth, 200, 3000, 99);
+        const Cycles ns_large = at(cycles, kNs, 32);
         check(sp_large < ns_large,
               "SP beats NS with ample windows (depth " +
                   std::to_string(max_depth) + ")");
+        walks.push_back(std::move(cycles));
     }
 
     // Depth scaling: the deeper walk saturates later.
-    auto saturation = [&](int max_depth) {
-        const Cycles best =
-            runWalk(SchemeKind::SP, 32, 4, max_depth, 200, 3000, 99);
-        for (const int w : defaultWindowSweep()) {
-            const Cycles c =
-                runWalk(SchemeKind::SP, w, 4, max_depth, 200, 3000,
-                        99);
-            if (c <= best + best / 33)
-                return w;
-        }
+    const auto saturation = [&](const WalkTable &cycles) {
+        const Cycles best = at(cycles, kSp, 32);
+        for (std::size_t wi = 0; wi < sweep.size(); ++wi)
+            if (cycles[kSp][wi] <= best + best / 33)
+                return sweep[wi];
         return 32;
     };
-    const int sat4 = saturation(4);
-    const int sat8 = saturation(8);
+    const int sat4 = saturation(walks[0]);
+    const int sat8 = saturation(walks[1]);
     check(sat8 >= sat4,
           "deeper walks saturate at more windows (activity knob): " +
               std::to_string(sat4) + " -> " + std::to_string(sat8));

@@ -109,10 +109,10 @@ runReplayThroughput(const FlagSet &flags)
     const int reps =
         std::max(1, static_cast<int>(flags.getInt("reps")));
 
-    const EventTrace &trace =
-        cachedTrace(ConcurrencyLevel::High, GranularityLevel::Fine);
-    const FlatTrace &flat = cachedFlatTrace(ConcurrencyLevel::High,
-                                            GranularityLevel::Fine);
+    const BehaviorId hf =
+        BehaviorId::spell(ConcurrencyLevel::High, GranularityLevel::Fine);
+    const EventTrace &trace = cachedTrace(hf);
+    const FlatTrace &flat = cachedFlatTrace(hf);
     const std::vector<SchemeKind> schemes = {
         SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP};
 

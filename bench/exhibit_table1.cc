@@ -60,8 +60,8 @@ constexpr Behavior kBehaviors[6] = {
 PlanPoint
 behaviorPoint(const Behavior &b)
 {
-    return makePlanPoint(b.conc, b.gran, SchemeKind::SP, 32,
-                         SchedPolicy::Fifo);
+    return makePlanPoint(BehaviorId::spell(b.conc, b.gran),
+                         SchemeKind::SP, 32, SchedPolicy::Fifo);
 }
 
 } // namespace

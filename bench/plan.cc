@@ -54,14 +54,6 @@ makePlanPoint(const BehaviorId &behavior, SchemeKind scheme,
     return p;
 }
 
-PlanPoint
-makePlanPoint(ConcurrencyLevel conc, GranularityLevel gran,
-              SchemeKind scheme, int windows, SchedPolicy policy)
-{
-    return makePlanPoint(BehaviorId::spell(conc, gran), scheme,
-                         windows, policy);
-}
-
 std::string
 pointConfigKey(const PlanPoint &point)
 {
@@ -95,15 +87,6 @@ ExperimentPlan::addSweep(const BehaviorId &behavior,
     for (const SchemeKind scheme : schemes)
         for (const int w : windows)
             add(makePlanPoint(behavior, scheme, w, policy));
-}
-
-void
-ExperimentPlan::addSweep(ConcurrencyLevel conc, GranularityLevel gran,
-                         SchedPolicy policy,
-                         const std::vector<SchemeKind> &schemes,
-                         const std::vector<int> &windows)
-{
-    addSweep(BehaviorId::spell(conc, gran), policy, schemes, windows);
 }
 
 std::string

@@ -71,9 +71,6 @@ struct PlanPoint
 /** A PlanPoint with the default engine config at (scheme, windows). */
 PlanPoint makePlanPoint(const BehaviorId &behavior, SchemeKind scheme,
                         int windows, SchedPolicy policy);
-PlanPoint makePlanPoint(ConcurrencyLevel conc, GranularityLevel gran,
-                        SchemeKind scheme, int windows,
-                        SchedPolicy policy);
 
 /**
  * Canonical identity of a point, e.g.
@@ -105,10 +102,6 @@ class ExperimentPlan
 
     /** Add the schemes × windows matrix of one behavior/policy. */
     void addSweep(const BehaviorId &behavior, SchedPolicy policy,
-                  const std::vector<SchemeKind> &schemes,
-                  const std::vector<int> &windows);
-    void addSweep(ConcurrencyLevel conc, GranularityLevel gran,
-                  SchedPolicy policy,
                   const std::vector<SchemeKind> &schemes,
                   const std::vector<int> &windows);
 

@@ -78,14 +78,6 @@ runSelected(const std::vector<const Exhibit *> &selected,
     return rc;
 }
 
-void
-defineCommonExtras(FlagSet &flags)
-{
-    flags.defineBool("no-cache", false,
-                     "bypass the on-disk stores (point results and "
-                     "flat traces); replay every point");
-}
-
 } // namespace
 
 const std::vector<Exhibit> &
@@ -132,25 +124,6 @@ findExhibit(const std::string &name)
 }
 
 int
-exhibitMain(const char *name, int argc, char **argv)
-{
-    const Exhibit *ex = findExhibit(name);
-    if (!ex) {
-        std::cerr << "error: unknown exhibit \"" << name
-                  << "\" (run 'crw-bench list' for the available "
-                     "exhibits)\n";
-        return 2;
-    }
-    FlagSet flags;
-    if (ex->addFlags)
-        ex->addFlags(flags);
-    defineCommonExtras(flags);
-    if (!benchInit(argc, argv, flags))
-        return 0;
-    return runSelected({ex}, flags);
-}
-
-int
 crwBenchMain(int argc, char **argv)
 {
     // All exhibits' flags are defined up front: the selection comes
@@ -159,7 +132,9 @@ crwBenchMain(int argc, char **argv)
     for (const Exhibit &ex : exhibitRegistry())
         if (ex.addFlags)
             ex.addFlags(flags);
-    defineCommonExtras(flags);
+    flags.defineBool("no-cache", false,
+                     "bypass the on-disk stores (point results and "
+                     "flat traces); replay every point");
     if (!benchInit(argc, argv, flags))
         return 0;
 

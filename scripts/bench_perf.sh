@@ -1,19 +1,20 @@
 #!/usr/bin/env sh
 # Host-performance gate: configure a Release build, run
-# bench_sparc_interp (predecoded block dispatch vs legacy stepping),
-# crw-bench replay-throughput (devirtualized flat replay vs the legacy
-# virtual-dispatch loop) and bench_fig11 (the event-level headline
-# sweep), and record machine-readable summaries at the repo root —
-# BENCH_sparc_interp.json and BENCH_replay_throughput.json, each
-# {mips/mevps, speedup, wall_s, git_sha, per-row detail}, plus
-# BENCH_warm_start.json from the arena-store warm-start gate.
+# crw-bench sparc_interp (predecoded block dispatch vs legacy
+# stepping), crw-bench replay-throughput (devirtualized flat replay vs
+# the legacy virtual-dispatch loop) and crw-bench fig11 (the
+# event-level headline sweep), and record machine-readable summaries
+# at the repo root — BENCH_sparc_interp.json and
+# BENCH_replay_throughput.json, each {mips/mevps, speedup, wall_s,
+# git_sha, per-row detail}, plus BENCH_warm_start.json from the
+# arena-store warm-start gate.
 #
 # Run from the repo root. The Release tree lives in build-perf/ so it
 # never disturbs an existing default (often Debug) build/ tree.
 #
 # Usage: scripts/bench_perf.sh [build-dir] [reps]
 #   build-dir  CMake Release build tree (default: build-perf)
-#   reps       wall-time samples per mode for bench_sparc_interp;
+#   reps       wall-time samples per mode for crw-bench sparc_interp;
 #              each mode reports its fastest sample (default: 5)
 set -eu
 
@@ -36,14 +37,14 @@ echo "== tier-1 gate (ctest -L tier1)"
 ctest --test-dir "$build_dir" -L tier1 \
     -j"$(nproc 2>/dev/null || echo 2)" --output-on-failure
 
-echo "== bench_sparc_interp (reps=$reps)"
-"$build_dir/bench/bench_sparc_interp" \
+echo "== crw-bench sparc_interp (reps=$reps)"
+"$build_dir/bench/crw-bench" sparc_interp \
     --reps "$reps" \
     --json "$repo_root/BENCH_sparc_interp.json" \
     --git-sha "$git_sha"
 
-echo "== bench_fig11"
-"$build_dir/bench/bench_fig11"
+echo "== crw-bench fig11"
+"$build_dir/bench/crw-bench" fig11
 
 # Replay-throughput gate: time the devirtualized flat fast path
 # against the legacy virtual-dispatch loop (crw-bench
@@ -211,7 +212,7 @@ if [ "$warm_ms" -ge "$cold_ms" ]; then
     exit 1
 fi
 
-# Observability overhead gate: a fully instrumented bench_fig11 run
+# Observability overhead gate: a fully instrumented crw-bench fig11 run
 # (--metrics-out + --trace-out) must stay within a few percent of the
 # plain run. Best-of-3 per mode to shed scheduler noise; timing in ms
 # via date +%s%N where available (falls back to whole seconds).
@@ -238,11 +239,11 @@ best_ms() {
     done
     echo "$best"
 }
-echo "== observability overhead (bench_fig11, best of 3)"
-fig11_abs="$repo_root/$build_dir/bench/bench_fig11"
-[ -x "$fig11_abs" ] || fig11_abs="$build_dir/bench/bench_fig11"
-off_ms=$(best_ms "$fig11_abs")
-on_ms=$(best_ms "$fig11_abs" --metrics-out metrics.json \
+echo "== observability overhead (crw-bench fig11, best of 3)"
+crwbench_bin="$repo_root/$build_dir/bench/crw-bench"
+[ -x "$crwbench_bin" ] || crwbench_bin="$build_dir/bench/crw-bench"
+off_ms=$(best_ms "$crwbench_bin" fig11)
+on_ms=$(best_ms "$crwbench_bin" fig11 --metrics-out metrics.json \
                 --trace-out trace.json)
 echo "  obs off: ${off_ms} ms   obs on: ${on_ms} ms"
 if [ "$off_ms" -gt 0 ] && \

@@ -1,19 +1,19 @@
 #!/usr/bin/env sh
 # Verify two independence properties of the bench pipeline:
 #
-#  1. The parallel sweep runner is deterministic: run bench_fig11
-#     serially (--jobs 1) and in parallel (--jobs N), then require
-#     every emitted CSV to be byte-for-byte identical. A cached trace
-#     is shared between the two runs, so any difference is a
-#     scheduling bug in ParallelSweep, not workload noise.
+#  1. The parallel sweep runner is deterministic: run `crw-bench
+#     fig11` serially (--jobs 1) and in parallel (--jobs N), then
+#     require every emitted CSV to be byte-for-byte identical. A
+#     cached trace is shared between the two runs, so any difference
+#     is a scheduling bug in ParallelSweep, not workload noise.
 #
 #  2. The predecoded block interpreter is architecturally invisible:
-#     run bench_table2 with CRW_SPARC_BLOCK_CACHE=1 and =0 and require
-#     byte-identical CSVs. The block cache may only change host wall
-#     time, never a simulated result.
+#     run `crw-bench table2` with CRW_SPARC_BLOCK_CACHE=1 and =0 and
+#     require byte-identical CSVs. The block cache may only change
+#     host wall time, never a simulated result.
 #
 #  3. The observability layer honors its determinism contract
-#     (DESIGN.md section 10): bench_fig11 --metrics-out output is
+#     (DESIGN.md section 10): `crw-bench fig11 --metrics-out` output is
 #     byte-identical across repeated runs and across --jobs 1 vs
 #     --jobs N, once the wall-clock-valued "host" section and the
 #     "jobs" manifest line (the two documented exceptions) are
@@ -24,12 +24,12 @@
 #  4. The point-result cache is invisible in every output byte: a
 #     cold-cache run, a warm-cache rerun and a --no-cache run of
 #     `crw-bench fig11` produce byte-identical stdout and CSVs — and
-#     identical to the legacy bench_fig11 wrapper — while the
-#     cache.*/replay.points counters prove the warm run replayed
-#     nothing. A combined `crw-bench fig11 fig12 fig13` run shares
-#     one sweep: its CSVs match three standalone runs byte-for-byte
-#     and its replay count equals fig11's alone (fig12 and fig13
-#     contribute no new points).
+#     identical to the part-1 serial run — while the cache.* and
+#     replay.points counters prove the warm run replayed nothing. A
+#     combined `crw-bench fig11 fig12 fig13` run shares one sweep:
+#     its CSVs match three standalone runs byte-for-byte and its
+#     replay count equals fig11's alone (fig12 and fig13 contribute
+#     no new points).
 #
 #  5. Oracle vs production: `crw-bench fig11 table2 --no-cache` with
 #     CRW_REPLAY_FAST=0 (legacy oracle loop) and =1 (the production
@@ -86,9 +86,9 @@ build_dir=${1:-build}
 jobs=${2:-$(nproc 2>/dev/null || echo 2)}
 [ "$jobs" -ge 2 ] || jobs=2
 
-bench="$build_dir/bench/bench_fig11"
-if [ ! -x "$bench" ]; then
-    echo "error: $bench not found or not executable." >&2
+crwbench="$build_dir/bench/crw-bench"
+if [ ! -x "$crwbench" ]; then
+    echo "error: $crwbench not found or not executable." >&2
     echo "Build first: cmake -B $build_dir -S . && \\" >&2
     echo "             cmake --build $build_dir -j" >&2
     exit 2
@@ -99,17 +99,17 @@ fi
 # trace cache is re-captured per run (also deterministic).
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
-bench_abs=$(cd "$(dirname "$bench")" && pwd)/$(basename "$bench")
+crwbench_abs=$(cd "$(dirname "$crwbench")" && pwd)/$(basename "$crwbench")
 
 run() {
     # $1: subdir, $2: --jobs value
     mkdir -p "$workdir/$1"
-    (cd "$workdir/$1" && "$bench_abs" --jobs "$2" > stdout.txt)
+    (cd "$workdir/$1" && "$crwbench_abs" fig11 --jobs "$2" > stdout.txt)
 }
 
-echo "== bench_fig11 --jobs 1"
+echo "== crw-bench fig11 --jobs 1"
 run serial 1
-echo "== bench_fig11 --jobs $jobs"
+echo "== crw-bench fig11 --jobs $jobs"
 run parallel "$jobs"
 
 status=0
@@ -138,25 +138,19 @@ if ! cmp -s "$workdir/serial/stdout.txt" \
 fi
 
 # Part 2: the block cache must be architecturally invisible. Every
-# bench_table2 number comes from the instruction-level core, so a
-# single divergent cycle or trap count changes a CSV byte.
-table2="$build_dir/bench/bench_table2"
-if [ ! -x "$table2" ]; then
-    echo "error: $table2 not found or not executable." >&2
-    exit 2
-fi
-table2_abs=$(cd "$(dirname "$table2")" && pwd)/$(basename "$table2")
+# `crw-bench table2` number comes from the instruction-level core, so
+# a single divergent cycle or trap count changes a CSV byte.
 
 run_table2() {
     # $1: subdir, $2: CRW_SPARC_BLOCK_CACHE value
     mkdir -p "$workdir/$1"
     (cd "$workdir/$1" &&
-     CRW_SPARC_BLOCK_CACHE="$2" "$table2_abs" > stdout.txt)
+     CRW_SPARC_BLOCK_CACHE="$2" "$crwbench_abs" table2 > stdout.txt)
 }
 
-echo "== bench_table2 CRW_SPARC_BLOCK_CACHE=0"
+echo "== crw-bench table2 CRW_SPARC_BLOCK_CACHE=0"
 run_table2 cache_off 0
-echo "== bench_table2 CRW_SPARC_BLOCK_CACHE=1"
+echo "== crw-bench table2 CRW_SPARC_BLOCK_CACHE=1"
 run_table2 cache_on 1
 
 found=0
@@ -193,7 +187,8 @@ run_metrics() {
     # $1: subdir, $2: --jobs value
     mkdir -p "$workdir/$1"
     (cd "$workdir/$1" &&
-     "$bench_abs" --jobs "$2" --metrics-out metrics.json > stdout.txt)
+     "$crwbench_abs" fig11 --jobs "$2" --metrics-out metrics.json \
+         > stdout.txt)
 }
 
 # The deterministic view: host section dropped (it is the last JSON
@@ -203,11 +198,11 @@ metrics_view() {
         -e 's/^    "jobs": "[0-9]*"/    "jobs": "N"/' "$1"
 }
 
-echo "== bench_fig11 --jobs 1 --metrics-out (run A)"
+echo "== crw-bench fig11 --jobs 1 --metrics-out (run A)"
 run_metrics obs_a 1
-echo "== bench_fig11 --jobs 1 --metrics-out (run B)"
+echo "== crw-bench fig11 --jobs 1 --metrics-out (run B)"
 run_metrics obs_b 1
-echo "== bench_fig11 --jobs $jobs --metrics-out"
+echo "== crw-bench fig11 --jobs $jobs --metrics-out"
 run_metrics obs_par "$jobs"
 
 for m in obs_a obs_b obs_par; do
@@ -253,15 +248,9 @@ fi
 
 # Part 4: the point-result cache. The cached sweep must be invisible
 # in every output byte — cold, warm and --no-cache runs identical to
-# each other and to the legacy wrapper — and the cache/replay obs
+# each other and to the part-1 serial run — and the cache/replay obs
 # counters must prove the warm run replayed nothing and a combined
 # run shared its sweep.
-crwbench="$build_dir/bench/crw-bench"
-if [ ! -x "$crwbench" ]; then
-    echo "error: $crwbench not found or not executable." >&2
-    exit 2
-fi
-crwbench_abs=$(cd "$(dirname "$crwbench")" && pwd)/$(basename "$crwbench")
 
 # "name": N in a metrics.json, 0 when the counter never fired.
 counter() {
@@ -288,9 +277,9 @@ for pair in "cache/stdout_cold.txt cold-cache" \
     f=${pair%% *}
     label=${pair#* }
     if cmp -s "$workdir/serial/stdout.txt" "$workdir/$f"; then
-        echo "  ok   $label stdout matches the legacy wrapper"
+        echo "  ok   $label stdout matches the part-1 serial run"
     else
-        echo "  FAIL $label stdout differs from the legacy wrapper"
+        echo "  FAIL $label stdout differs from the part-1 serial run"
         status=1
     fi
 done

@@ -7,17 +7,13 @@
 #include "trace/replay_batch.h"
 
 namespace crw {
-namespace {
 
-/** CRW_REPLAY_FAST=0 pins Auto-path drivers to the oracle loop. */
 bool
-productionEnabledByEnv()
+productionReplayEnabled()
 {
     const char *v = std::getenv("CRW_REPLAY_FAST");
     return !(v && v[0] == '0' && v[1] == '\0');
 }
-
-} // namespace
 
 ReplayDriver::ReplayDriver(const EventTrace &trace,
                            const EngineConfig &engine_config,
@@ -196,7 +192,7 @@ ReplayDriver::run()
     // exist on the oracle loop, so engines carrying either replay
     // there; CRW_REPLAY_FAST=0 pins every Auto run there too.
     if (path_ == ReplayPath::Legacy || ctl_.leader.observer() ||
-        ctl_.leader.checkInvariants() || !productionEnabledByEnv()) {
+        ctl_.leader.checkInvariants() || !productionReplayEnabled()) {
         runLegacy();
     } else {
         if (!flat_) {

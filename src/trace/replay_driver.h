@@ -62,6 +62,15 @@ enum class ReplayPath : std::uint8_t {
     Legacy, ///< force the virtual-dispatch oracle loop
 };
 
+/**
+ * False when the environment variable CRW_REPLAY_FAST is "0", the
+ * oracle pin: every Auto-path run then takes the oracle loop, and a
+ * caller that would group points into lockstep batches must replay
+ * them one by one instead. Read on every call, so a test can flip the
+ * variable between runs.
+ */
+bool productionReplayEnabled();
+
 class ReplayDriver
 {
   public:

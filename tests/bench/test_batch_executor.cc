@@ -98,9 +98,9 @@ windowsPlan(SchemeKind scheme, const std::vector<int> &windows,
 {
     ExperimentPlan plan;
     for (const int w : windows)
-        plan.add(makePlanPoint(ConcurrencyLevel::High,
-                               GranularityLevel::Fine, scheme, w,
-                               policy));
+        plan.add(makePlanPoint(BehaviorId::spell(ConcurrencyLevel::High,
+                                                 GranularityLevel::Fine),
+                               scheme, w, policy));
     return plan;
 }
 

@@ -52,11 +52,18 @@ const bool g_privateStore = [] {
     return true;
 }();
 
+/** The high-concurrency, fine-granularity spell-checker behavior. */
+BehaviorId
+highFine()
+{
+    return BehaviorId::spell(ConcurrencyLevel::High,
+                             GranularityLevel::Fine);
+}
+
 PlanPoint
 basePoint()
 {
-    return makePlanPoint(ConcurrencyLevel::High,
-                         GranularityLevel::Fine, SchemeKind::SP, 8,
+    return makePlanPoint(highFine(), SchemeKind::SP, 8,
                          SchedPolicy::Fifo);
 }
 
@@ -181,20 +188,19 @@ TEST(ExperimentPlan, DedupesByKeyAndDigestsOrderIndependently)
     ExperimentPlan a;
     a.add(basePoint());
     a.add(basePoint()); // duplicate: no-op
-    a.addSweep(ConcurrencyLevel::High, GranularityLevel::Fine,
-               SchedPolicy::Fifo, {SchemeKind::SP, SchemeKind::NS},
-               {4, 8});
+    a.addSweep(highFine(), SchedPolicy::Fifo,
+               {SchemeKind::SP, SchemeKind::NS}, {4, 8});
     // basePoint() == (SP, 8) is already in the sweep.
     EXPECT_EQ(a.size(), 4u);
 
     ExperimentPlan b;
-    b.addSweep(ConcurrencyLevel::High, GranularityLevel::Fine,
-               SchedPolicy::Fifo, {SchemeKind::NS, SchemeKind::SP},
-               {8, 4});
+    b.addSweep(highFine(), SchedPolicy::Fifo,
+               {SchemeKind::NS, SchemeKind::SP}, {8, 4});
     EXPECT_EQ(a.digest(), b.digest());
     EXPECT_EQ(a.digest().size(), 16u);
 
-    b.add(makePlanPoint(ConcurrencyLevel::Low, GranularityLevel::Fine,
+    b.add(makePlanPoint(BehaviorId::spell(ConcurrencyLevel::Low,
+                                          GranularityLevel::Fine),
                         SchemeKind::SP, 8, SchedPolicy::Fifo));
     EXPECT_NE(a.digest(), b.digest());
 }
@@ -344,16 +350,13 @@ TEST(ResultCacheToggle, FlagRoundTrips)
 
 TEST(ResultCacheReplay, HitIsBitIdenticalToFreshReplay)
 {
-    const EventTrace &trace =
-        cachedTrace(ConcurrencyLevel::High, GranularityLevel::Fine);
-    const std::uint64_t checksum = cachedTraceChecksum(
-        ConcurrencyLevel::High, GranularityLevel::Fine);
+    const EventTrace &trace = cachedTrace(highFine());
+    const std::uint64_t checksum = cachedTraceChecksum(highFine());
 
     for (const SchemeKind scheme : evaluatedSchemes()) {
         for (const int windows : {4, 8}) {
-            const PlanPoint p = makePlanPoint(
-                ConcurrencyLevel::High, GranularityLevel::Fine,
-                scheme, windows, SchedPolicy::Fifo);
+            const PlanPoint p = makePlanPoint(highFine(), scheme,
+                                              windows, SchedPolicy::Fifo);
             const std::string key =
                 resultCacheKey(pointConfigKey(p), checksum);
 
@@ -382,8 +385,8 @@ TEST(ResultCacheReplay, HitIsBitIdenticalToFreshReplay)
 TEST(ResultCacheReplay, ExecutorServesPlannedPoints)
 {
     ExperimentPlan plan;
-    plan.addSweep(ConcurrencyLevel::High, GranularityLevel::Fine,
-                  SchedPolicy::Fifo, evaluatedSchemes(), {4, 8});
+    plan.addSweep(highFine(), SchedPolicy::Fifo, evaluatedSchemes(),
+                  {4, 8});
     executePlan(plan);
     for (const PlanPoint &p : plan.points()) {
         const RunMetrics &m = pointResult(p);
