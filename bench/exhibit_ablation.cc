@@ -126,12 +126,7 @@ runAblation(const FlagSet &)
                  "spills; with ample windows every variant "
                  "converges.\n";
 
-    bool ok = true;
-    auto check = [&ok](bool cond, const std::string &what) {
-        std::cout << "  [" << (cond ? "ok" : "FAIL") << "] " << what
-                  << '\n';
-        ok = ok && cond;
-    };
+    SelfCheck check;
     // The oracle lower-bounds everything.
     const double inf32 = runVariant(SchemeKind::Infinite, 32,
                                     PrwReclaim::Eager,
@@ -148,7 +143,7 @@ runAblation(const FlagSet &)
                                       AllocPolicy::Simple);
     check(eager10 <= lazy10 * 1.02,
           "eager PRW reclamation is not worse in the tight range");
-    return ok ? 0 : 1;
+    return check.exitCode();
 }
 
 } // namespace bench

@@ -6,11 +6,11 @@
  *
  * The report prints deterministic inventory lines (entry and byte
  * counts, format versions) for the arena-backed result store, the
- * flat-trace arena files, the legacy per-file results and the event
- * ring. With --gc it drops every result record and flat-trace file
- * whose trace checksum no longer matches a captured trace in
- * bench_out/traces/ — the store is rebuilt (clear + re-put), which
- * also compacts the append-only data region of erased records.
+ * flat-trace arena files and the event ring. With --gc it drops
+ * every result record and flat-trace file whose trace checksum no
+ * longer matches a captured trace in bench_out/traces/ — the store
+ * is rebuilt (clear + re-put), which also compacts the append-only
+ * data region of erased records.
  *
  * Safe to run while a bench is live: losing the store's writer flock
  * degrades this process to a read-only attacher (stats still print;
@@ -35,7 +35,6 @@
 #include "store/record_store.h"
 #include "trace/event_trace.h"
 #include "trace/flat_trace_io.h"
-#include "trace/run_metrics.h"
 #include "win/simd.h"
 
 namespace crw {
@@ -168,23 +167,6 @@ runGc(store::RecordStore &store,
                 ++flat_dropped;
         }
     std::cout << "gc: flat traces   dropped " << flat_dropped << '\n';
-
-    std::size_t legacy_dropped = 0;
-    std::error_code ec;
-    for (const fs::directory_entry &entry :
-         fs::directory_iterator("bench_out/results", ec)) {
-        if (entry.path().extension() != ".metrics")
-            continue;
-        std::string key;
-        std::uint64_t sum = 0;
-        if (peekMetricsFileKey(entry.path().string(), key) &&
-            keyTraceChecksum(key, sum) && live.count(sum))
-            continue; // alive (unreadable files are dropped too)
-        std::error_code rm;
-        if (fs::remove(entry.path(), rm))
-            ++legacy_dropped;
-    }
-    std::cout << "gc: legacy files  dropped " << legacy_dropped << '\n';
     return 0;
 }
 
@@ -226,15 +208,7 @@ runCache(const FlagSet &flags)
               << " files, " << flats.bytes << " bytes (format v"
               << kFlatTraceFormatVersion << ")\n";
 
-    std::size_t legacy_files = 0;
-    std::error_code ec;
-    for (const fs::directory_entry &entry :
-         fs::directory_iterator("bench_out/results", ec))
-        if (entry.path().extension() == ".metrics")
-            ++legacy_files;
-    std::cout << "legacy results bench_out/results: " << legacy_files
-              << " .metrics files\n"
-              << "captured       bench_out/traces: " << trace_files
+    std::cout << "captured       bench_out/traces: " << trace_files
               << " traces, " << live.size() << " distinct checksums\n";
 
     // The session ring: attach (or share) and report its high-water

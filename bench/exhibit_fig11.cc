@@ -15,6 +15,7 @@
 
 #include "bench/executor.h"
 #include "bench/exhibits.h"
+#include "bench/harness.h"
 #include "common/table.h"
 
 namespace crw {
@@ -30,7 +31,7 @@ mcycles(const RunMetrics &m)
 } // namespace
 
 void
-planFig11(ExperimentPlan &plan)
+planHighConcurrency(ExperimentPlan &plan)
 {
     for (const GranularityLevel gran :
          {GranularityLevel::Fine, GranularityLevel::Medium,
@@ -43,12 +44,7 @@ planFig11(ExperimentPlan &plan)
 int
 runFig11(const FlagSet &)
 {
-    bool ok = true;
-    auto check = [&ok](bool cond, const std::string &what) {
-        std::cout << "  [" << (cond ? "ok" : "FAIL") << "] " << what
-                  << '\n';
-        ok = ok && cond;
-    };
+    SelfCheck check;
 
     double advantage[3] = {}; // NS/SP time ratio at 32 windows
     int gi = 0;
@@ -124,7 +120,7 @@ runFig11(const FlagSet &)
               formatDouble(advantage[0], 2) + " / " +
               formatDouble(advantage[1], 2) + " / " +
               formatDouble(advantage[2], 2));
-    return ok ? 0 : 1;
+    return check.exitCode();
 }
 
 } // namespace bench

@@ -13,6 +13,7 @@
 
 #include "bench/executor.h"
 #include "bench/exhibits.h"
+#include "bench/harness.h"
 #include "common/table.h"
 #include "win/cost_model.h"
 
@@ -28,26 +29,10 @@ meanSwitch(const RunMetrics &m)
 
 } // namespace
 
-void
-planFig12(ExperimentPlan &plan)
-{
-    for (const GranularityLevel gran :
-         {GranularityLevel::Fine, GranularityLevel::Medium,
-          GranularityLevel::Coarse})
-        plan.addSweep(BehaviorId::spell(ConcurrencyLevel::High, gran),
-                      SchedPolicy::Fifo, evaluatedSchemes(),
-                      defaultWindowSweep());
-}
-
 int
 runFig12(const FlagSet &)
 {
-    bool ok = true;
-    auto check = [&ok](bool cond, const std::string &what) {
-        std::cout << "  [" << (cond ? "ok" : "FAIL") << "] " << what
-                  << '\n';
-        ok = ok && cond;
-    };
+    SelfCheck check;
 
     const CostModel cost = CostModel::paperTable2();
     const double sp_best =
@@ -92,7 +77,7 @@ runFig12(const FlagSet &)
         check(meanSwitch(sweep.at(2, 0)) > meanSwitch(sweep.at(2, last)),
               "SP switch cost falls as windows are added");
     }
-    return ok ? 0 : 1;
+    return check.exitCode();
 }
 
 } // namespace bench

@@ -14,6 +14,7 @@
 
 #include "bench/executor.h"
 #include "bench/exhibits.h"
+#include "bench/harness.h"
 #include "common/table.h"
 
 namespace crw {
@@ -28,26 +29,10 @@ trapProb(const RunMetrics &m)
 
 } // namespace
 
-void
-planFig13(ExperimentPlan &plan)
-{
-    for (const GranularityLevel gran :
-         {GranularityLevel::Fine, GranularityLevel::Medium,
-          GranularityLevel::Coarse})
-        plan.addSweep(BehaviorId::spell(ConcurrencyLevel::High, gran),
-                      SchedPolicy::Fifo, evaluatedSchemes(),
-                      defaultWindowSweep());
-}
-
 int
 runFig13(const FlagSet &)
 {
-    bool ok = true;
-    auto check = [&ok](bool cond, const std::string &what) {
-        std::cout << "  [" << (cond ? "ok" : "FAIL") << "] " << what
-                  << '\n';
-        ok = ok && cond;
-    };
+    SelfCheck check;
 
     for (const GranularityLevel gran :
          {GranularityLevel::Fine, GranularityLevel::Medium,
@@ -82,7 +67,7 @@ runFig13(const FlagSet &)
                   trapProb(sweep.at(0, 0)) + 0.05,
               "NS roughly flat in the window count");
     }
-    return ok ? 0 : 1;
+    return check.exitCode();
 }
 
 } // namespace bench

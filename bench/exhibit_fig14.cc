@@ -14,6 +14,7 @@
 
 #include "bench/executor.h"
 #include "bench/exhibits.h"
+#include "bench/harness.h"
 #include "common/table.h"
 
 namespace crw {
@@ -61,12 +62,7 @@ planFig14(ExperimentPlan &plan)
 int
 runFig14(const FlagSet &)
 {
-    bool ok = true;
-    auto check = [&ok](bool cond, const std::string &what) {
-        std::cout << "  [" << (cond ? "ok" : "FAIL") << "] " << what
-                  << '\n';
-        ok = ok && cond;
-    };
+    SelfCheck check;
 
     int sat_lc_coarse = 0;
     int sat_hc_coarse = 0;
@@ -111,7 +107,7 @@ runFig14(const FlagSet &)
           "paper: '20 or more windows are required for the SP scheme "
           "at the coarse granularity' — measured saturation at " +
               std::to_string(sat_lc_coarse));
-    return ok ? 0 : 1;
+    return check.exitCode();
 }
 
 } // namespace bench

@@ -16,6 +16,7 @@
 
 #include "bench/executor.h"
 #include "bench/exhibits.h"
+#include "bench/harness.h"
 #include "common/table.h"
 
 namespace crw {
@@ -49,12 +50,7 @@ planFig15(ExperimentPlan &plan)
 int
 runFig15(const FlagSet &)
 {
-    bool ok = true;
-    auto check = [&ok](bool cond, const std::string &what) {
-        std::cout << "  [" << (cond ? "ok" : "FAIL") << "] " << what
-                  << '\n';
-        ok = ok && cond;
-    };
+    SelfCheck check;
 
     for (const GranularityLevel gran :
          {GranularityLevel::Fine, GranularityLevel::Medium,
@@ -95,7 +91,7 @@ runFig15(const FlagSet &)
                   mcycles(fifo.at(2, last)) * 1.05,
               "no significant loss at a large number of windows");
     }
-    return ok ? 0 : 1;
+    return check.exitCode();
 }
 
 } // namespace bench

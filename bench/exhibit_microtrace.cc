@@ -19,7 +19,6 @@
  */
 
 #include <algorithm>
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -81,12 +80,7 @@ runMicrotrace(const FlagSet &)
     banner("Microtraces: random call-depth walks (4 threads, "
            "200-step quanta)");
 
-    bool ok = true;
-    auto check = [&ok](bool cond, const std::string &what) {
-        std::cout << "  [" << (cond ? "ok" : "FAIL") << "] " << what
-                  << '\n';
-        ok = ok && cond;
-    };
+    SelfCheck check;
 
     // Every (depth, scheme, windows) walk runs once, into one table per
     // depth indexed [scheme][window index]; the figures, the shape
@@ -164,7 +158,7 @@ runMicrotrace(const FlagSet &)
     check(sat8 >= sat4,
           "deeper walks saturate at more windows (activity knob): " +
               std::to_string(sat4) + " -> " + std::to_string(sat8));
-    return ok ? 0 : 1;
+    return check.exitCode();
 }
 
 } // namespace bench

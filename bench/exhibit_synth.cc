@@ -54,12 +54,7 @@ planSynth(ExperimentPlan &plan)
 int
 runSynth(const FlagSet &)
 {
-    bool ok = true;
-    const auto check = [&ok](bool cond, const std::string &what) {
-        std::cout << "  [" << (cond ? "ok" : "FAIL") << "] " << what
-                  << '\n';
-        ok = ok && cond;
-    };
+    SelfCheck check;
 
     for (const SynthSpec &spec : synthBehaviorMenu()) {
         const BehaviorId behavior = BehaviorId::fromSynth(spec);
@@ -116,7 +111,7 @@ runSynth(const FlagSet &)
                                 " completes every point");
         }
     }
-    return ok ? 0 : 1;
+    return check.exitCode();
 }
 
 } // namespace bench

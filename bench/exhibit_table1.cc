@@ -136,12 +136,7 @@ runTable1(const FlagSet &)
 
     // --- structural checks the paper asserts ---
     std::cout << "\nStructural checks:\n";
-    bool ok = true;
-    auto check = [&ok](bool cond, const std::string &what) {
-        std::cout << "  [" << (cond ? "ok" : "FAIL") << "] " << what
-                  << '\n';
-        ok = ok && cond;
-    };
+    SelfCheck check;
     // Save counts equal across all behaviors (same function calls).
     bool saves_equal = true;
     for (int b = 1; b < 6; ++b)
@@ -166,7 +161,7 @@ runTable1(const FlagSet &)
           "T6 switches per byte at M=1");
     check(runs[3].perThread[5].switchesIn < 100,
           "T6 nearly switchless at M=1024");
-    return ok ? 0 : 1;
+    return check.exitCode();
 }
 
 } // namespace bench

@@ -24,13 +24,13 @@ int runTable1(const FlagSet &flags);
 
 int runTable2(const FlagSet &flags);
 
-void planFig11(ExperimentPlan &plan);
+/**
+ * The plan Figs. 11-13 share: the high-concurrency behavior at every
+ * granularity, the evaluated schemes, the default window sweep.
+ */
+void planHighConcurrency(ExperimentPlan &plan);
 int runFig11(const FlagSet &flags);
-
-void planFig12(ExperimentPlan &plan);
 int runFig12(const FlagSet &flags);
-
-void planFig13(ExperimentPlan &plan);
 int runFig13(const FlagSet &flags);
 
 void planFig14(ExperimentPlan &plan);

@@ -356,6 +356,13 @@ banner(const std::string &title)
 }
 
 void
+SelfCheck::operator()(bool cond, const std::string &what)
+{
+    std::cout << "  [" << (cond ? "ok" : "FAIL") << "] " << what << '\n';
+    ok_ = ok_ && cond;
+}
+
+void
 emitFigure(const std::string &title, const std::string &xLabel,
            const std::string &yLabel, Table &table, AsciiChart &chart,
            const std::string &csvName)

@@ -7,11 +7,11 @@
  *   plan     bench/plan.h      declarative point sets per exhibit
  *   execute  bench/executor.h  shared sweep runner + result cache
  *   report   bench/exhibits.h  per-exhibit tables/charts/CSVs
- *   driver   bench/registry.h  crw-bench + the thin legacy wrappers
+ *   driver   bench/registry.h  crw-bench, the one bench driver
  *
  * This header is deliberately light — everything heavyweight (spell,
  * replay, obs implementation types) is forward-declared — so the
- * wrapper binaries and report TUs compile against the layer they use.
+ * report TUs compile against the layer they use.
  *
  * Conventions: each exhibit runs standalone with sensible defaults,
  * prints an aligned table plus an ASCII chart of the figure's series,
@@ -153,6 +153,21 @@ std::string outputPath(const std::string &name);
 
 /** Print a section header. */
 void banner(const std::string &title);
+
+/**
+ * An exhibit's self-checks: each call prints one `  [ok] <what>` or
+ * `  [FAIL] <what>` line, and exitCode() is 1 once any check failed.
+ */
+class SelfCheck
+{
+  public:
+    void operator()(bool cond, const std::string &what);
+
+    int exitCode() const { return ok_ ? 0 : 1; }
+
+  private:
+    bool ok_ = true;
+};
 
 /**
  * Render one figure: a per-scheme series table (already assembled by

@@ -89,11 +89,11 @@ exhibitRegistry()
         {"table2", "context-switch cycles (instruction-level)",
          nullptr, nullptr, runTable2},
         {"fig11", "execution time vs windows, high concurrency",
-         nullptr, planFig11, runFig11},
+         nullptr, planHighConcurrency, runFig11},
         {"fig12", "mean context-switch time, high concurrency",
-         nullptr, planFig12, runFig12},
+         nullptr, planHighConcurrency, runFig12},
         {"fig13", "window-trap probability, high concurrency",
-         nullptr, planFig13, runFig13},
+         nullptr, planHighConcurrency, runFig13},
         {"fig14", "execution time vs windows, low concurrency",
          nullptr, planFig14, runFig14},
         {"fig15", "execution time with working-set scheduling",

@@ -1,11 +1,9 @@
 #include "bench/result_cache.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 
 #include "bench/harness.h"
-#include "common/byteio.h"
 #include "obs/metrics.h"
 #include "obs/ring.h"
 #include "trace/run_metrics.h"
@@ -44,19 +42,6 @@ resultCacheKey(const std::string &point_key,
 }
 
 std::string
-resultCachePath(const std::string &cache_key)
-{
-    static const char *kHex = "0123456789abcdef";
-    std::uint64_t h = fnv1a64(cache_key);
-    std::string name(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        name[static_cast<std::size_t>(i)] = kHex[h & 0xf];
-        h >>= 4;
-    }
-    return outputPath("results/" + name + ".metrics");
-}
-
-std::string
 resultStorePath()
 {
     const char *env = std::getenv("CRW_RESULT_STORE");
@@ -71,10 +56,14 @@ resultStore()
     static store::RecordStore s = [] {
         store::RecordStore st;
         std::string err;
-        if (!st.open(resultStorePath(), kRunMetricsFormatVersion,
-                     kResultStoreSlots, kResultStoreDataBytes, &err))
-            std::cerr << "note: result store unavailable ("
-                      << err << "); using per-file cache\n";
+        st.open(resultStorePath(), kRunMetricsFormatVersion,
+                kResultStoreSlots, kResultStoreDataBytes, &err);
+        if (st.mode() == store::RecordStore::Mode::Reader)
+            std::cerr << "note: result store held by another writer; "
+                         "new results are not persisted\n";
+        else if (!st.valid())
+            std::cerr << "note: result store unavailable (" << err
+                      << "); new results are not persisted\n";
         return st;
     }();
     return s;
@@ -83,36 +72,15 @@ resultStore()
 bool
 loadCachedResult(const std::string &cache_key, RunMetrics &out)
 {
-    store::RecordStore &store = resultStore();
+    using Found = store::RecordStore::FindResult;
     std::vector<std::uint8_t> blob;
-    switch (store.find(cache_key, blob)) {
-      case store::RecordStore::FindResult::Hit:
-        if (decodeMetricsRecord(blob.data(), blob.size(), cache_key,
-                                out))
-            return true;
-        // The record survived its own checksum but not the decode:
-        // still file damage, still a countable corrupt miss.
-        countCorrupt();
-        break;
-      case store::RecordStore::FindResult::Corrupt:
-        countCorrupt();
-        break;
-      case store::RecordStore::FindResult::Miss:
-        break;
-    }
-
-    // Migration path: a pre-store run may have left a legacy file.
-    MetricsLoadStatus status = MetricsLoadStatus::NotFound;
-    if (loadMetricsFile(resultCachePath(cache_key), cache_key, out,
-                        nullptr, &status)) {
-        // Promote so the next run's probe is one mmap lookup.
-        // Best-effort: a reader or full store just keeps the file.
-        if (store.writable())
-            store.put(cache_key,
-                      encodeMetricsRecord(out, cache_key));
+    const Found found = resultStore().find(cache_key, blob);
+    if (found == Found::Hit &&
+        decodeMetricsRecord(blob.data(), blob.size(), cache_key, out))
         return true;
-    }
-    if (status == MetricsLoadStatus::Malformed)
+    // A slot pointing at a damaged record, or a record that survived
+    // its own checksum but not the decode: a countable corrupt miss.
+    if (found != Found::Miss)
         countCorrupt();
     return false;
 }
@@ -122,28 +90,14 @@ storeCachedResult(const std::string &cache_key,
                   const RunMetrics &metrics)
 {
     store::RecordStore &store = resultStore();
-    if (store.writable() &&
-        store.put(cache_key, encodeMetricsRecord(metrics, cache_key)))
-        return true;
-
-    // Reader mode, invalid store, or a full data region: fall back to
-    // the legacy per-file scheme so the result is still durable.
-    std::string err;
-    if (saveMetricsFile(metrics, cache_key, resultCachePath(cache_key),
-                        &err))
-        return true;
-    std::cerr << "warning: could not cache result for " << cache_key
-              << ": " << err << '\n';
-    return false;
+    return store.writable() &&
+           store.put(cache_key, encodeMetricsRecord(metrics, cache_key));
 }
 
 bool
 removeCachedResult(const std::string &cache_key)
 {
-    const bool from_store = resultStore().erase(cache_key);
-    const bool from_file =
-        std::remove(resultCachePath(cache_key).c_str()) == 0;
-    return from_store || from_file;
+    return resultStore().erase(cache_key);
 }
 
 } // namespace bench

@@ -3,7 +3,7 @@
  * Content-addressed on-disk cache of replay results (DESIGN.md §11,
  * §13).
  *
- * The primary container is one arena-backed record store
+ * The one container is an arena-backed record store
  * (src/store/record_store.h) at bench_out/results/store.crwstore —
  * single-writer (flock-elected), attachable read-only by any number
  * of concurrent processes, one mmap for the whole sweep instead of
@@ -20,12 +20,10 @@
  * never to an aliased result. A record that fails validation bumps
  * the cache.corrupt counter and is silently re-replayed.
  *
- * The legacy one-file-per-point CRWMETRS scheme
- * (bench_out/results/<fnv1a64(key) hex>.metrics) remains as the
- * migration path: a store miss falls through to the legacy file, and
- * a legacy hit is promoted into the store so the next run attaches
- * it. A process that loses the writer election (or cannot map the
- * store at all) still reads the store and writes legacy files.
+ * Only the store's writer persists. A process that loses the writer
+ * election (or cannot map the store at all) still reads what the
+ * writer published, but its own fresh results are not persisted: it
+ * notes that once on stderr when the store opens.
  */
 
 #ifndef CRW_BENCH_RESULT_CACHE_H_
@@ -46,9 +44,6 @@ namespace bench {
 std::string resultCacheKey(const std::string &point_key,
                            std::uint64_t trace_checksum);
 
-/** Legacy path: bench_out/results/<fnv1a64(cache_key) hex>.metrics */
-std::string resultCachePath(const std::string &cache_key);
-
 /**
  * Path of the shared result store. Overridable via the
  * CRW_RESULT_STORE environment variable so test processes (which run
@@ -60,31 +55,27 @@ std::string resultStorePath();
 /**
  * The process-wide result store, opened lazily at resultStorePath().
  * Writer if this process won the flock election, Reader if another
- * holds it, Invalid if the path is unusable — in every mode the
- * load/store functions below degrade to the legacy files.
+ * holds it, Invalid if the path is unusable.
  */
 store::RecordStore &resultStore();
 
 /**
- * Load the entry for @p cache_key: store first, then the legacy file
- * (promoting a legacy hit into the store). False on any mismatch or
- * damage — callers re-replay; a miss is never an error. Damage bumps
- * cache.corrupt.
+ * Load the entry for @p cache_key from the store. False on a miss,
+ * a key mismatch or damage — callers re-replay; a miss is never an
+ * error. Damage bumps cache.corrupt.
  */
 bool loadCachedResult(const std::string &cache_key, RunMetrics &out);
 
 /**
- * Persist one result: into the store when this process is the
- * writer (and the store has room), else as a legacy file. False only
- * when both fail.
+ * Persist one result into the store. False when it is not persisted:
+ * this process is not the store's writer, or the store has no room.
  */
 bool storeCachedResult(const std::string &cache_key,
                        const RunMetrics &metrics);
 
 /**
- * Drop @p cache_key from the store and the legacy file, wherever it
- * lives. True if anything was removed. (Tests and the GC use this;
- * the executor never deletes.)
+ * Drop @p cache_key from the store (writer only). True if it was
+ * there. (Tests use this; the executor never deletes.)
  */
 bool removeCachedResult(const std::string &cache_key);
 

@@ -1,10 +1,11 @@
 /**
  * @file
  * Flat little-endian byte-buffer writer/reader plus the FNV-1a hash —
- * the serialization substrate shared by the versioned binary file
- * formats (trace/event_trace.cc CRWTRACE, trace/run_metrics.cc
- * CRWMETRS). Both formats frame the same way: magic, u32 version,
- * payload, trailing u64 FNV-1a checksum of the payload.
+ * the serialization substrate of the versioned binary formats: the
+ * CRWTRACE file (trace/event_trace.cc), framed as magic, u32 version,
+ * payload, trailing u64 FNV-1a checksum of the payload, and the
+ * result-record payload (trace/run_metrics.cc) that the arena result
+ * store frames itself.
  *
  * The Reader never throws or asserts on malformed input: a short or
  * truncated buffer flips ok to false and every subsequent read

@@ -56,7 +56,7 @@ enum class RingEventCode : std::uint32_t
 {
     None = 0,
     ReplayPoint = 1,   ///< one point replayed live
-    CacheHit = 2,      ///< result served from the store/legacy file
+    CacheHit = 2,      ///< result served from the result store
     CacheMiss = 3,     ///< result absent; a replay follows
     CacheStore = 4,    ///< fresh result persisted
     CacheCorrupt = 5,  ///< damaged entry detected, re-replayed

@@ -38,8 +38,9 @@
  *
  * Writer election is flock-based (Mapping::tryLockExclusive): exactly
  * one process opens Writer; the rest attach Reader or, if the file is
- * not yet valid, degrade to Invalid and the caller falls back to its
- * legacy path.
+ * not yet valid, degrade to Invalid. Only the Writer persists: the
+ * caller treats a Reader's or an Invalid store's refused put as "not
+ * stored".
  */
 
 #ifndef CRW_STORE_RECORD_STORE_H_

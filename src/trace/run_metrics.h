@@ -11,6 +11,7 @@
 #define CRW_TRACE_RUN_METRICS_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -62,22 +63,23 @@ RunMetrics collectRunMetrics(const WindowEngine &engine,
                              std::size_t misspelled);
 
 /**
- * Versioned binary serialization of one RunMetrics, mirroring
- * event_trace's CRWTRACE framing: magic "CRWMETRS", u32 version,
- * payload, trailing u64 FNV-1a checksum of the payload. Doubles are
- * stored as their exact IEEE-754 bit patterns, so a loaded record is
- * bit-identical to the stored one — the property the bench result
+ * Versioned binary encoding of one RunMetrics: the record payload the
+ * arena result store (bench/result_cache.cc, store/record_store.h)
+ * keeps as its blob. The store frames each record with its own
+ * version and checksum; this encoding only has to be exact. Doubles
+ * are stored as their exact IEEE-754 bit patterns, so a loaded record
+ * is bit-identical to the stored one — the property the bench result
  * cache relies on to keep cached sweeps byte-identical to fresh ones.
  *
  * The payload opens with a caller-supplied identity key (the
  * result-cache key: trace checksum + canonical engine config + policy
- * + cost model + this format version). loadMetricsFile() rejects a
- * file whose stored key differs from the expected one, so a hash
- * collision in the cache's file naming can never alias two points.
+ * + cost model + this format version). decodeMetricsRecord() rejects
+ * a record whose stored key differs from the expected one, so an
+ * index collision can never alias two points.
  *
  * Bump kRunMetricsFormatVersion whenever RunMetrics gains, loses or
- * reinterprets a field: old cache entries are then rejected (version
- * mismatch) and silently recomputed.
+ * reinterprets a field: the store is stamped with it, so old records
+ * are then rejected and silently recomputed.
  *
  * Version history:
  *   1  original format
@@ -90,59 +92,18 @@ RunMetrics collectRunMetrics(const WindowEngine &engine,
  */
 inline constexpr std::uint32_t kRunMetricsFormatVersion = 2;
 
-/**
- * Serialize @p metrics with identity @p key into the versioned record
- * payload — the exact bytes the CRWMETRS file frames and the arena
- * result store (bench/result_cache.cc) stores as its blob. One
- * encoder, two containers: a record migrated from a legacy file into
- * the store stays bit-identical.
- */
+/** Serialize @p metrics with identity @p key into a record payload. */
 std::vector<std::uint8_t> encodeMetricsRecord(const RunMetrics &metrics,
                                               const std::string &key);
 
 /**
  * Decode a payload produced by encodeMetricsRecord. False on
- * malformed bytes or on a stored identity key differing from
- * @p expected_key; @p key_mismatch (may be null) distinguishes the
- * latter — an honest collision, not corruption.
+ * malformed bytes (truncation, trailing bytes) or on a stored identity
+ * key differing from @p expected_key.
  */
 bool decodeMetricsRecord(const std::uint8_t *data, std::size_t n,
                          const std::string &expected_key,
-                         RunMetrics &out,
-                         bool *key_mismatch = nullptr);
-
-/** Why a loadMetricsFile call did not produce a record. */
-enum class MetricsLoadStatus
-{
-    Ok,
-    NotFound,        ///< no file at the path
-    Malformed,       ///< bad magic, truncation, checksum, or decode
-    VersionMismatch, ///< stale format: recompute, don't count corrupt
-    KeyMismatch,     ///< file-name hash collision: silent miss
-};
-
-/** Write @p metrics under identity @p key (temp file + rename). */
-bool saveMetricsFile(const RunMetrics &metrics, const std::string &key,
-                     const std::string &path,
-                     std::string *error = nullptr);
-
-/**
- * Read a metrics record back. False (with a reason in @p error and a
- * classification in @p status, both optional) on a bad magic, unknown
- * version, truncation, checksum mismatch, or a stored identity key
- * differing from @p expected_key.
- */
-bool loadMetricsFile(const std::string &path,
-                     const std::string &expected_key, RunMetrics &out,
-                     std::string *error = nullptr,
-                     MetricsLoadStatus *status = nullptr);
-
-/**
- * Extract the stored identity key of a CRWMETRS file without decoding
- * the record (frame and checksum are still verified). The cache GC
- * uses this to map legacy files back to their trace checksum.
- */
-bool peekMetricsFileKey(const std::string &path, std::string &key_out);
+                         RunMetrics &out);
 
 /**
  * Field-for-field equality, doubles compared bit-exactly (the cache

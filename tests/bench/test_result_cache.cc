@@ -10,7 +10,10 @@
  *  - a cache hit is bit-identical to a fresh replay across a
  *    scheme x windows matrix;
  *  - a corrupted, truncated or colliding entry degrades to a miss,
- *    never to an error or an aliased result.
+ *    never to an error or an aliased result;
+ *  - the record store is the only container: a stray per-file entry
+ *    is never read, and a process that is not the store's writer
+ *    persists nothing.
  */
 
 #include <cstdio>
@@ -28,6 +31,7 @@
 #include "bench/harness.h"
 #include "bench/plan.h"
 #include "bench/result_cache.h"
+#include "common/byteio.h"
 #include "obs/metrics.h"
 #include "store/record_store.h"
 #include "trace/run_metrics.h"
@@ -86,20 +90,31 @@ syntheticMetrics()
     return m;
 }
 
-std::vector<char>
-readAll(const std::string &path)
+/**
+ * The path the retired one-file-per-point cache used for @p key:
+ * bench_out/results/<fnv1a64(key) hex>.metrics.
+ */
+std::string
+perFilePath(const std::string &key)
 {
-    std::ifstream in(path, std::ios::binary);
-    return std::vector<char>(std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>());
+    char name[32];
+    std::snprintf(name, sizeof name, "%016llx.metrics",
+                  static_cast<unsigned long long>(fnv1a64(key)));
+    return "bench_out/results/" + std::string(name);
 }
 
+/** A valid record of the retired per-file format for @p key. */
 void
-writeAll(const std::string &path, const std::vector<char> &bytes)
+writePerFileRecord(const std::string &key, const RunMetrics &m)
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
+    const std::vector<std::uint8_t> payload = encodeMetricsRecord(m, key);
+    ByteWriter file{{'C', 'R', 'W', 'M', 'E', 'T', 'R', 'S'}};
+    file.u32(kRunMetricsFormatVersion);
+    file.bytes.insert(file.bytes.end(), payload.begin(), payload.end());
+    file.u64(fnv1a64(payload.data(), payload.size()));
+    std::ofstream out(perFilePath(key), std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(file.bytes.data()),
+              static_cast<std::streamsize>(file.bytes.size()));
 }
 
 // --- key structure ---
@@ -172,13 +187,23 @@ TEST(ResultCacheKey, AppendsChecksumAndFormatVersion)
 
 TEST(ResultCacheKey, PathIsDeterministicAndDistinct)
 {
+    // One store path for every key; the key alone tells points apart.
     const std::string a = resultCacheKey(pointConfigKey(basePoint()), 1);
     PlanPoint q = basePoint();
     q.engine.numWindows = 9;
     const std::string b = resultCacheKey(pointConfigKey(q), 1);
-    EXPECT_EQ(resultCachePath(a), resultCachePath(a));
-    EXPECT_NE(resultCachePath(a), resultCachePath(b));
-    EXPECT_NE(resultCachePath(a).find("results/"), std::string::npos);
+    EXPECT_EQ(a, resultCacheKey(pointConfigKey(basePoint()), 1));
+    EXPECT_NE(a, b);
+    EXPECT_EQ(resultStorePath(), resultStorePath());
+    EXPECT_NE(resultStorePath().find("results/"), std::string::npos);
+
+    removeCachedResult(a);
+    removeCachedResult(b);
+    ASSERT_TRUE(storeCachedResult(a, syntheticMetrics()));
+    RunMetrics out;
+    EXPECT_FALSE(loadCachedResult(b, out));
+    EXPECT_TRUE(loadCachedResult(a, out));
+    removeCachedResult(a);
 }
 
 // --- plan dedupe and digest ---
@@ -215,14 +240,12 @@ class ResultCacheFile : public ::testing::Test
     {
         key_ = resultCacheKey(pointConfigKey(basePoint()),
                               0xfeedfacecafebeefull);
-        path_ = resultCachePath(key_);
         removeCachedResult(key_);
     }
 
     void TearDown() override { removeCachedResult(key_); }
 
     std::string key_;
-    std::string path_;
 };
 
 TEST_F(ResultCacheFile, MissingEntryIsAMiss)
@@ -242,15 +265,11 @@ TEST_F(ResultCacheFile, StoreThenLoadIsBitIdentical)
 
 TEST_F(ResultCacheFile, CorruptLegacyEntryIsAMissAndRecoverable)
 {
-    // Damage on the legacy migration path: plant a per-file entry,
-    // flip one byte. The load must degrade to a miss (counting
-    // cache.corrupt), and a re-store must overwrite the damage.
-    ASSERT_TRUE(saveMetricsFile(syntheticMetrics(), key_, path_));
-    std::vector<char> bytes = readAll(path_);
-    ASSERT_GT(bytes.size(), 20u);
-    bytes[bytes.size() / 2] =
-        static_cast<char>(bytes[bytes.size() / 2] ^ 0x5A);
-    writeAll(path_, bytes);
+    // A record that passes the store's checksum but is not a metrics
+    // payload (damage before the put, or a foreign writer): the load
+    // must degrade to a miss counting cache.corrupt, and a re-store
+    // must replace it.
+    ASSERT_TRUE(resultStore().put(key_, {0xde, 0xad, 0xbe, 0xef}));
 
     const std::uint64_t corrupt0 =
         metrics().counterValue("cache.corrupt");
@@ -263,10 +282,10 @@ TEST_F(ResultCacheFile, CorruptLegacyEntryIsAMissAndRecoverable)
 
 TEST_F(ResultCacheFile, TruncatedLegacyEntryIsAMiss)
 {
-    ASSERT_TRUE(saveMetricsFile(syntheticMetrics(), key_, path_));
-    std::vector<char> bytes = readAll(path_);
-    bytes.resize(bytes.size() / 2);
-    writeAll(path_, bytes);
+    std::vector<std::uint8_t> blob =
+        encodeMetricsRecord(syntheticMetrics(), key_);
+    blob.resize(blob.size() / 2);
+    ASSERT_TRUE(resultStore().put(key_, blob));
 
     RunMetrics out;
     EXPECT_FALSE(loadCachedResult(key_, out));
@@ -309,32 +328,73 @@ TEST_F(ResultCacheFile, CorruptStoreRecordIsAMissAndCounted)
     EXPECT_TRUE(loadCachedResult(key_, out));
 }
 
-TEST_F(ResultCacheFile, LegacyFileIsPromotedToStore)
-{
-    ASSERT_TRUE(saveMetricsFile(syntheticMetrics(), key_, path_));
-    RunMetrics out;
-    ASSERT_TRUE(loadCachedResult(key_, out)); // legacy hit + promote
-    std::remove(path_.c_str());
-    RunMetrics again;
-    ASSERT_TRUE(loadCachedResult(key_, again)) // now store-resident
-        << "promotion did not reach the store";
-    EXPECT_TRUE(metricsBitIdentical(out, again));
-}
-
 TEST_F(ResultCacheFile, FileNameCollisionDegradesToMiss)
 {
-    // Simulate two keys hashing to the same legacy file: plant key
-    // A's entry at key B's path. The stored identity key must reject
-    // it (the record store performs the same in-record key check).
+    // Simulate two keys sharing a slot: file key A's record under key
+    // B. The identity key stored inside the record must reject it.
     const std::string other_key = resultCacheKey(
         pointConfigKey(basePoint()), 0x1111111111111111ull);
-    const std::string other_path = resultCachePath(other_key);
-    ASSERT_TRUE(
-        saveMetricsFile(syntheticMetrics(), key_, other_path));
+    ASSERT_TRUE(resultStore().put(
+        other_key, encodeMetricsRecord(syntheticMetrics(), key_)));
 
     RunMetrics out;
     EXPECT_FALSE(loadCachedResult(other_key, out));
-    std::remove(other_path.c_str());
+    removeCachedResult(other_key);
+}
+
+TEST_F(ResultCacheFile, StrayPerFileEntryIsAMiss)
+{
+    // The retired one-file-per-point format is never read back: a
+    // valid record at its old path is still a miss, not a hit.
+    writePerFileRecord(key_, syntheticMetrics());
+    RunMetrics out;
+    EXPECT_FALSE(loadCachedResult(key_, out));
+    std::remove(perFilePath(key_).c_str());
+}
+
+/**
+ * Body of NonWriterPersistsNothing, run in a fresh process so that
+ * resultStore() opens only after another handle holds the writer
+ * lock. Exits 0 when every expectation holds.
+ */
+[[noreturn]] void
+nonWriterChild()
+{
+    int failures = 0;
+    const auto expect = [&failures](bool cond, const char *what) {
+        if (!cond) {
+            std::fprintf(stderr, "expectation failed: %s\n", what);
+            ++failures;
+        }
+    };
+
+    store::RecordStore holder;
+    expect(holder.open(resultStorePath(), kRunMetricsFormatVersion,
+                       64, 1 << 16) &&
+               holder.writable(),
+           "holder is the writer");
+    expect(resultStore().mode() == store::RecordStore::Mode::Reader,
+           "the cache attaches as a reader");
+
+    const std::string key = resultCacheKey(pointConfigKey(basePoint()),
+                                           0x2222222222222222ull);
+    expect(!storeCachedResult(key, syntheticMetrics()),
+           "storeCachedResult refuses");
+    RunMetrics out;
+    expect(!loadCachedResult(key, out), "nothing was persisted");
+    expect(!std::filesystem::exists(perFilePath(key)),
+           "no per-file record was written");
+
+    std::remove(perFilePath(key).c_str());
+    holder.close();
+    std::remove(resultStorePath().c_str());
+    std::exit(failures == 0 ? 0 : 1);
+}
+
+TEST(ResultCacheNonWriter, NonWriterPersistsNothing)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(nonWriterChild(), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ResultCacheToggle, FlagRoundTrips)

@@ -1,17 +1,19 @@
 /**
  * @file
- * RunMetrics binary serialization (CRWMETRS): bit-exact round-trip of
- * every field — including the Table-1 per-thread counters and exact
- * IEEE-754 double patterns — plus rejection of every damage mode the
- * bench result cache must survive: wrong magic, unknown version,
- * truncation, payload corruption, and an entry stored under a
- * different identity key (the hash-collision guard).
+ * RunMetrics record encoding and its one container: bit-exact
+ * round-trip of every field — including the Table-1 per-thread
+ * counters and exact IEEE-754 double patterns — through
+ * encodeMetricsRecord / decodeMetricsRecord, rejection of truncated,
+ * padded or foreign-key payloads, and the damage modes the arena
+ * result store must survive: a bad magic, a foreign payload version
+ * and a corrupted record all read back as misses.
  */
 
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "store/record_store.h"
 #include "trace/run_metrics.h"
 
 namespace crw {
@@ -60,6 +63,10 @@ sampleMetrics()
 const char kKey[] = "HC-fine-m1-n1|SNP|w11|prw=eager|alloc=simple|"
                     "cm=test|ws|trace=0123456789abcdef|v1";
 
+/** Store geometry for the temp stores below. */
+constexpr std::size_t kSlots = 64;
+constexpr std::size_t kDataBytes = 1 << 16;
+
 class RunMetricsFile : public ::testing::Test
 {
   protected:
@@ -72,26 +79,62 @@ class RunMetricsFile : public ::testing::Test
             ::testing::UnitTest::GetInstance()->current_test_info();
         const std::string name = "crw_test_run_metrics_" +
                                  std::to_string(::getpid()) + "_" +
-                                 test->name() + ".metrics";
+                                 test->name() + ".crwstore";
         path_ = (std::filesystem::temp_directory_path() / name).string();
     }
 
     void TearDown() override { std::remove(path_.c_str()); }
 
-    std::vector<char>
-    readAll() const
+    /** Encode and decode @p m under kKey: false if decode refuses. */
+    static bool
+    roundTrip(const RunMetrics &m, RunMetrics &out)
     {
-        std::ifstream in(path_, std::ios::binary);
-        return std::vector<char>(std::istreambuf_iterator<char>(in),
-                                 std::istreambuf_iterator<char>());
+        const std::vector<std::uint8_t> bytes = encodeMetricsRecord(m, kKey);
+        return decodeMetricsRecord(bytes.data(), bytes.size(), kKey, out);
     }
 
+    /**
+     * A store at path_ holding sampleMetrics() under kKey, closed
+     * again; @p offset receives the record's file offset.
+     */
     void
-    writeAll(const std::vector<char> &bytes) const
+    writeStore(std::uint32_t app_version, std::uint64_t *offset = nullptr)
     {
-        std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
+        store::RecordStore st;
+        ASSERT_TRUE(st.open(path_, app_version, kSlots, kDataBytes));
+        ASSERT_TRUE(st.writable());
+        ASSERT_TRUE(st.put(kKey, encodeMetricsRecord(sampleMetrics(), kKey)));
+        std::vector<std::uint8_t> blob;
+        ASSERT_EQ(st.find(kKey, blob, offset),
+                  store::RecordStore::FindResult::Hit);
+    }
+
+    /** Flip byte @p at of the file at path_. */
+    void
+    flipByte(std::uint64_t at) const
+    {
+        std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(f.is_open());
+        f.seekg(static_cast<std::streamoff>(at));
+        char c = 0;
+        f.get(c);
+        f.seekp(static_cast<std::streamoff>(at));
+        f.put(static_cast<char>(c ^ 0x5A));
+    }
+
+    /** Reopen path_ as the current format's writer and probe kKey. */
+    store::RecordStore::FindResult
+    reopenAndFind(RunMetrics &out) const
+    {
+        store::RecordStore st;
+        EXPECT_TRUE(st.open(path_, kRunMetricsFormatVersion, kSlots,
+                            kDataBytes));
+        std::vector<std::uint8_t> blob;
+        const store::RecordStore::FindResult found = st.find(kKey, blob);
+        if (found == store::RecordStore::FindResult::Hit &&
+            !decodeMetricsRecord(blob.data(), blob.size(), kKey, out))
+            ADD_FAILURE() << "a validated record failed to decode";
+        return found;
     }
 
     std::string path_;
@@ -100,11 +143,8 @@ class RunMetricsFile : public ::testing::Test
 TEST_F(RunMetricsFile, RoundTripIsBitIdentical)
 {
     const RunMetrics m = sampleMetrics();
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(m, kKey, path_, &err)) << err;
-
     RunMetrics loaded;
-    ASSERT_TRUE(loadMetricsFile(path_, kKey, loaded, &err)) << err;
+    ASSERT_TRUE(roundTrip(m, loaded));
     EXPECT_TRUE(metricsBitIdentical(m, loaded));
 
     // Spot-check the per-thread Table-1 counters survived in order.
@@ -126,11 +166,8 @@ TEST_F(RunMetricsFile, RoundTripPreservesNonFiniteDoubles)
     RunMetrics m = sampleMetrics();
     m.meanSwitchCost = std::nan("");
     m.meanSlackness = std::numeric_limits<double>::infinity();
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(m, kKey, path_, &err)) << err;
-
     RunMetrics loaded;
-    ASSERT_TRUE(loadMetricsFile(path_, kKey, loaded, &err)) << err;
+    ASSERT_TRUE(roundTrip(m, loaded));
     EXPECT_TRUE(metricsBitIdentical(m, loaded));
     EXPECT_TRUE(std::isnan(loaded.meanSwitchCost));
     EXPECT_TRUE(std::isinf(loaded.meanSlackness));
@@ -140,129 +177,118 @@ TEST_F(RunMetricsFile, EmptyPerThreadRoundTrips)
 {
     RunMetrics m = sampleMetrics();
     m.perThread.clear();
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(m, kKey, path_, &err)) << err;
-
     RunMetrics loaded;
-    ASSERT_TRUE(loadMetricsFile(path_, kKey, loaded, &err)) << err;
+    ASSERT_TRUE(roundTrip(m, loaded));
     EXPECT_TRUE(metricsBitIdentical(m, loaded));
     EXPECT_TRUE(loaded.perThread.empty());
 }
 
 TEST_F(RunMetricsFile, MissingFileFails)
 {
-    RunMetrics out;
+    // A store path that cannot be created leaves the store Invalid:
+    // it reports why, and every probe is a plain miss.
+    store::RecordStore st;
     std::string err;
-    EXPECT_FALSE(loadMetricsFile("/nonexistent/dir/none.metrics",
-                                 kKey, out, &err));
+    EXPECT_FALSE(st.open("/nonexistent/dir/none.crwstore",
+                         kRunMetricsFormatVersion, kSlots, kDataBytes,
+                         &err));
     EXPECT_FALSE(err.empty());
+    EXPECT_FALSE(st.valid());
+    std::vector<std::uint8_t> blob;
+    EXPECT_EQ(st.find(kKey, blob), store::RecordStore::FindResult::Miss);
+    EXPECT_FALSE(st.put(kKey, encodeMetricsRecord(sampleMetrics(), kKey)));
 }
 
 TEST_F(RunMetricsFile, BadMagicRejected)
 {
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(sampleMetrics(), kKey, path_, &err))
-        << err;
-    std::vector<char> bytes = readAll();
-    ASSERT_GE(bytes.size(), 8u);
-    bytes[0] = 'X';
-    writeAll(bytes);
+    // A file that is not a store is never read as one: the writer
+    // reformats it, so the old record is gone.
+    writeStore(kRunMetricsFormatVersion);
+    flipByte(0);
 
     RunMetrics out;
-    EXPECT_FALSE(loadMetricsFile(path_, kKey, out, &err));
-    EXPECT_NE(err.find("magic"), std::string::npos) << err;
+    EXPECT_EQ(reopenAndFind(out), store::RecordStore::FindResult::Miss);
 }
 
 TEST_F(RunMetricsFile, UnknownVersionRejected)
 {
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(sampleMetrics(), kKey, path_, &err))
-        << err;
-    std::vector<char> bytes = readAll();
-    // Version is the little-endian u32 right after the 8-byte magic.
-    ASSERT_GE(bytes.size(), 12u);
-    bytes[8] = static_cast<char>(kRunMetricsFormatVersion + 1);
-    writeAll(bytes);
+    // A store stamped with another payload version holds records this
+    // build cannot decode: reopening under the current version drops
+    // them all instead of misreading them.
+    writeStore(kRunMetricsFormatVersion + 1);
 
     RunMetrics out;
-    EXPECT_FALSE(loadMetricsFile(path_, kKey, out, &err));
-    EXPECT_NE(err.find("version"), std::string::npos) << err;
+    EXPECT_EQ(reopenAndFind(out), store::RecordStore::FindResult::Miss);
+    store::RecordStore st;
+    ASSERT_TRUE(st.open(path_, kRunMetricsFormatVersion, kSlots,
+                        kDataBytes));
+    EXPECT_EQ(st.stats().appVersion, kRunMetricsFormatVersion);
+    EXPECT_EQ(st.stats().entries, 0u);
 }
 
 TEST_F(RunMetricsFile, TruncationRejected)
 {
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(sampleMetrics(), kKey, path_, &err))
-        << err;
-    std::vector<char> bytes = readAll();
-    ASSERT_GT(bytes.size(), 20u);
-    bytes.resize(bytes.size() - 9); // clips checksum + payload tail
-    writeAll(bytes);
-
+    std::vector<std::uint8_t> bytes =
+        encodeMetricsRecord(sampleMetrics(), kKey);
+    ASSERT_GT(bytes.size(), 9u);
     RunMetrics out;
-    EXPECT_FALSE(loadMetricsFile(path_, kKey, out, &err));
-    EXPECT_FALSE(err.empty());
+    for (const std::size_t keep :
+         {bytes.size() - 9, bytes.size() - 1, std::size_t{3},
+          std::size_t{0}})
+        EXPECT_FALSE(decodeMetricsRecord(bytes.data(), keep, kKey, out))
+            << keep;
 }
 
 TEST_F(RunMetricsFile, PayloadCorruptionRejected)
 {
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(sampleMetrics(), kKey, path_, &err))
-        << err;
-    std::vector<char> bytes = readAll();
-    // Flip one payload byte mid-file: the checksum must catch it.
-    const std::size_t mid = bytes.size() / 2;
-    bytes[mid] = static_cast<char>(bytes[mid] ^ 0x5A);
-    writeAll(bytes);
+    // Flip one payload byte mid-record: the store's record checksum
+    // must catch it and report the slot corrupt.
+    std::uint64_t offset = 0;
+    writeStore(kRunMetricsFormatVersion, &offset);
+    const std::size_t payload =
+        encodeMetricsRecord(sampleMetrics(), kKey).size();
+    // Record: u32 keyLen | key | u32 blobLen | blob | u64 checksum.
+    flipByte(offset + 8 + (sizeof kKey - 1) + payload / 2);
 
     RunMetrics out;
-    EXPECT_FALSE(loadMetricsFile(path_, kKey, out, &err));
-    EXPECT_NE(err.find("checksum"), std::string::npos) << err;
+    EXPECT_EQ(reopenAndFind(out),
+              store::RecordStore::FindResult::Corrupt);
 }
 
 TEST_F(RunMetricsFile, ForeignIdentityKeyRejected)
 {
     // A record stored under one key must not load under another —
-    // this is what turns a file-name hash collision into a plain
-    // cache miss instead of an aliased result.
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(sampleMetrics(), kKey, path_, &err))
-        << err;
-
+    // this is what turns an index collision into a plain cache miss
+    // instead of an aliased result.
+    const std::vector<std::uint8_t> bytes =
+        encodeMetricsRecord(sampleMetrics(), kKey);
     RunMetrics out;
-    EXPECT_FALSE(loadMetricsFile(
-        path_, std::string(kKey) + "-other", out, &err));
-    EXPECT_NE(err.find("identity key"), std::string::npos) << err;
+    EXPECT_FALSE(decodeMetricsRecord(bytes.data(), bytes.size(),
+                                     std::string(kKey) + "-other", out));
     // The honest key still works.
-    EXPECT_TRUE(loadMetricsFile(path_, kKey, out, &err)) << err;
+    EXPECT_TRUE(decodeMetricsRecord(bytes.data(), bytes.size(), kKey, out));
 }
 
 TEST_F(RunMetricsFile, TrailingGarbageRejected)
 {
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(sampleMetrics(), kKey, path_, &err))
-        << err;
-    std::vector<char> bytes = readAll();
-    // Splice extra payload bytes in front of the checksum and fix
-    // nothing: the checksum no longer matches.
-    bytes.insert(bytes.end() - 8, 4, '\0');
-    writeAll(bytes);
+    std::vector<std::uint8_t> bytes =
+        encodeMetricsRecord(sampleMetrics(), kKey);
+    bytes.insert(bytes.end(), 4, 0);
 
     RunMetrics out;
-    EXPECT_FALSE(loadMetricsFile(path_, kKey, out, &err));
-    EXPECT_FALSE(err.empty());
+    EXPECT_FALSE(decodeMetricsRecord(bytes.data(), bytes.size(), kKey, out));
 }
 
 TEST_F(RunMetricsFile, FuzzedFilesNeverCrashTheLoader)
 {
     // Deterministic corruption fuzz, mirroring the EventTrace one:
-    // single-bit flips and truncations must load cleanly or fail
-    // gracefully — never crash. (A flip inside the stored key region
-    // is caught by the checksum before the key comparison runs.)
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(sampleMetrics(), kKey, path_, &err))
-        << err;
-    const std::vector<char> original = readAll();
+    // single-bit flips and truncations must decode cleanly or fail
+    // gracefully — never crash. The payload carries no checksum of
+    // its own (the store's record checksum guards it), so a flip in a
+    // counter decodes; whatever decodes must re-encode to exactly the
+    // fuzzed bytes.
+    const std::vector<std::uint8_t> original =
+        encodeMetricsRecord(sampleMetrics(), kKey);
     ASSERT_GT(original.size(), 24u);
 
     std::uint64_t rng = 0x1993ull;
@@ -274,21 +300,17 @@ TEST_F(RunMetricsFile, FuzzedFilesNeverCrashTheLoader)
     };
 
     for (int i = 0; i < 200; ++i) {
-        std::vector<char> bytes = original;
+        std::vector<std::uint8_t> bytes = original;
         if (i % 2 == 0) {
             const std::size_t at = next() % bytes.size();
-            bytes[at] = static_cast<char>(
+            bytes[at] = static_cast<std::uint8_t>(
                 bytes[at] ^ (1u << (next() % 8)));
         } else {
             bytes.resize(next() % bytes.size());
         }
-        writeAll(bytes);
         RunMetrics out;
-        std::string why;
-        if (loadMetricsFile(path_, kKey, out, &why)) {
-            EXPECT_TRUE(metricsBitIdentical(out, sampleMetrics()));
-        } else {
-            EXPECT_FALSE(why.empty());
+        if (decodeMetricsRecord(bytes.data(), bytes.size(), kKey, out)) {
+            EXPECT_EQ(encodeMetricsRecord(out, kKey), bytes) << i;
         }
     }
 }
