@@ -7,6 +7,7 @@
 #include <iostream>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <utility>
 
@@ -266,7 +267,9 @@ executePoints(const std::vector<PlanPoint> &points)
     // per-point path remains for width-1 groups, invariant-checking
     // points and trace-recording runs (those two replay on the
     // oracle loop), and when CRW_REPLAY_BATCH=0 or CRW_REPLAY_FAST=0
-    // pins it off.
+    // pins it off. Units are dispatched longest first (LPT,
+    // longestFirstOrder) and the pool claims them one at a time, so
+    // the heaviest walks start first and the light ones fill in.
     const std::size_t cap = replayBatchCap();
     const bool batching =
         cap > 1 && productionReplayEnabled() && !traceRequested();
@@ -296,9 +299,15 @@ executePoints(const std::vector<PlanPoint> &points)
             units.push_back({i});
     }
 
+    std::vector<std::uint64_t> events(misses.size());
+    for (std::size_t i = 0; i < misses.size(); ++i)
+        events[i] = cachedFlatTrace(misses[i].behavior).eventCount();
+    const std::vector<std::size_t> order =
+        longestFirstOrder(units, events);
+
     std::vector<RunMetrics> results(misses.size());
-    pool.run(units.size(), [&](std::size_t u) {
-        const std::vector<std::size_t> &unit = units[u];
+    pool.run(units.size(), [&](std::size_t k) {
+        const std::vector<std::size_t> &unit = units[order[k]];
         if (unit.size() == 1) {
             const PlanPoint &p = misses[unit[0]];
             results[unit[0]] =
@@ -342,6 +351,23 @@ parseReplayBatchCap(const char *text, std::size_t fallback)
         return kMaxReplayBatch;
     }
     return static_cast<std::size_t>(v);
+}
+
+std::vector<std::size_t>
+longestFirstOrder(const std::vector<std::vector<std::size_t>> &units,
+                  const std::vector<std::uint64_t> &pointEvents)
+{
+    std::vector<std::uint64_t> cost(units.size(), 0);
+    for (std::size_t u = 0; u < units.size(); ++u)
+        for (const std::size_t i : units[u])
+            cost[u] += pointEvents[i];
+    std::vector<std::size_t> order(units.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&cost](std::size_t a, std::size_t b) {
+                         return cost[a] > cost[b];
+                     });
+    return order;
 }
 
 std::size_t

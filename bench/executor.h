@@ -11,8 +11,9 @@
  *  2. probe the on-disk point-result cache (bench/result_cache.h) for
  *     every point not yet in the in-process store — hits are counted
  *     (cache.hit) and need no replay;
- *  3. replay the misses on one ParallelSweep worker pool (--jobs) and
- *     persist each fresh result back to the cache (cache.store).
+ *  3. replay the misses on one ParallelSweep worker pool (--jobs),
+ *     as lockstep units dispatched longest first (longestFirstOrder),
+ *     and persist each fresh result back to the cache (cache.store).
  *
  * Reports then look results up by plan coordinate (pointResult,
  * sweepSchemes); a lookup the plan forgot falls back to on-demand
@@ -77,6 +78,16 @@ std::size_t parseReplayBatchCap(const char *text,
  * at).
  */
 std::size_t defaultReplayBatchCap();
+
+/**
+ * Longest-first (LPT) dispatch order of replay units: the indices of
+ * @p units (each a list of miss indices) by cost, descending, a unit
+ * costing the summed @p pointEvents of its misses — its trace's event
+ * count times its lanes. Stable: equal costs keep plan order.
+ */
+std::vector<std::size_t>
+longestFirstOrder(const std::vector<std::vector<std::size_t>> &units,
+                  const std::vector<std::uint64_t> &pointEvents);
 
 /** Execute every point of @p plan exactly once (see file comment). */
 void executePlan(const ExperimentPlan &plan);

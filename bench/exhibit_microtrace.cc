@@ -15,7 +15,9 @@
  *    best — the only transfer size all crw handlers use).
  *
  * Drives WindowEngine directly (no EventTrace, no replay), so it has
- * no plan contribution and bypasses the result cache.
+ * no plan contribution and still bypasses the plan/cache layer
+ * (ROADMAP item 4). Its walks fan out on the worker pool (--jobs),
+ * each writing its own table slot; rendering and checks stay serial.
  */
 
 #include <algorithm>
@@ -82,12 +84,13 @@ runMicrotrace(const FlagSet &)
 
     SelfCheck check;
 
-    // Every (depth, scheme, windows) walk runs once, into one table per
-    // depth indexed [scheme][window index]; the figures, the shape
-    // checks and the saturation scan all read these tables.
+    // Every (depth, scheme, windows) walk runs once on the pool, into
+    // one table per depth indexed [scheme][window index]; the figures,
+    // the shape checks and the saturation scan all read these tables.
     const std::vector<int> &sweep = defaultWindowSweep();
     const SchemeKind schemes[] = {SchemeKind::NS, SchemeKind::SNP,
                                   SchemeKind::SP};
+    const int depths[] = {4, 8};
     const std::size_t kNs = 0, kSp = 2;
     using WalkTable = std::vector<std::vector<Cycles>>;
     const auto at = [&sweep](const WalkTable &table, std::size_t scheme,
@@ -97,9 +100,20 @@ runMicrotrace(const FlagSet &)
             static_cast<std::size_t>(it - sweep.begin()));
     };
 
-    std::vector<WalkTable> walks;
-    for (const int max_depth : {4, 8}) {
-        WalkTable cycles(3, std::vector<Cycles>(sweep.size()));
+    std::vector<WalkTable> walks(
+        2, WalkTable(3, std::vector<Cycles>(sweep.size())));
+    const std::size_t per_depth = 3 * sweep.size();
+    ParallelSweep(sweepJobs()).run(2 * per_depth, [&](std::size_t k) {
+        const std::size_t di = k / per_depth;
+        const std::size_t si = k % per_depth / sweep.size();
+        const std::size_t wi = k % sweep.size();
+        walks[di][si][wi] = runWalk(schemes[si], sweep[wi], 4,
+                                    depths[di], 200, 3000, 99);
+    });
+
+    for (std::size_t di = 0; di < 2; ++di) {
+        const int max_depth = depths[di];
+        const WalkTable &cycles = walks[di];
         Table table({"windows", "NS", "SNP", "SP"});
         AsciiChart chart("Microtrace: walk depth <= " +
                              std::to_string(max_depth),
@@ -113,9 +127,7 @@ runMicrotrace(const FlagSet &)
             const int w = sweep[wi];
             std::vector<std::string> row{std::to_string(w)};
             for (std::size_t i = 0; i < 3; ++i) {
-                const Cycles c = runWalk(schemes[i], w, 4, max_depth,
-                                         200, 3000, 99);
-                cycles[i][wi] = c;
+                const Cycles c = cycles[i][wi];
                 row.push_back(formatDouble(c / 1e6, 3));
                 series[i].xs.push_back(w);
                 series[i].ys.push_back(static_cast<double>(c) / 1e6);
@@ -142,7 +154,6 @@ runMicrotrace(const FlagSet &)
         check(sp_large < ns_large,
               "SP beats NS with ample windows (depth " +
                   std::to_string(max_depth) + ")");
-        walks.push_back(std::move(cycles));
     }
 
     // Depth scaling: the deeper walk saturates later.

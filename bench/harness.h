@@ -123,8 +123,8 @@ void manifestNote(const std::string &key, const std::string &value);
 
 /**
  * Fan-out over the process-lifetime HostPool (rt/host_pool.h). run()
- * executes task(0..count-1), each exactly once, claims ordered by a
- * chunked atomic counter. Tasks must be independent (replay points
+ * executes task(0..count-1), each exactly once, claimed one index at
+ * a time in index order. Tasks must be independent (replay points
  * are: one engine per point, no shared mutable state); each writes
  * its result into its own pre-allocated slot, so the output is
  * deterministic and independent of the worker count.

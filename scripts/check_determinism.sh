@@ -76,6 +76,11 @@
 #     --jobs 1 vs --jobs N. The counters prove each run took the
 #     tier it was pinned to.
 #
+# 10. The microtrace walks (bench/exhibit_microtrace.cc) fan out on
+#     the worker pool, each writing its own table slot: `crw-bench
+#     microtrace` at --jobs 1 and --jobs N produces byte-identical
+#     microtrace_d*.csv files and stdout.
+#
 # Usage: scripts/check_determinism.sh [build-dir] [jobs]
 #   build-dir  CMake build tree containing bench/ (default: build)
 #   jobs       parallel worker count for the second run
@@ -883,6 +888,46 @@ else
     status=1
 fi
 
+# Part 10: the microtrace walks run on the worker pool; their table
+# must not depend on which worker ran which walk.
+run_microtrace() {
+    # $1: subdir, $2: --jobs value
+    mkdir -p "$workdir/$1"
+    (cd "$workdir/$1" &&
+     "$crwbench_abs" microtrace --jobs "$2" > stdout.txt)
+}
+
+echo "== crw-bench microtrace --jobs 1"
+run_microtrace micro_serial 1
+echo "== crw-bench microtrace --jobs $jobs"
+run_microtrace micro_par "$jobs"
+
+found=0
+for serial_csv in "$workdir"/micro_serial/bench_out/microtrace_d*.csv; do
+    [ -e "$serial_csv" ] || break
+    found=$((found + 1))
+    name=$(basename "$serial_csv")
+    if cmp -s "$serial_csv" "$workdir/micro_par/bench_out/$name"; then
+        echo "  ok   $name"
+    else
+        echo "  FAIL $name differs between --jobs 1 and --jobs $jobs"
+        status=1
+    fi
+done
+if [ "$found" -ne 2 ]; then
+    echo "error: the microtrace run produced $found of 2 CSVs" >&2
+    exit 2
+fi
+if cmp -s "$workdir/micro_serial/stdout.txt" \
+          "$workdir/micro_par/stdout.txt"; then
+    echo "  ok   microtrace stdout identical at --jobs 1 and" \
+         "--jobs $jobs"
+else
+    echo "  FAIL microtrace stdout differs between --jobs 1 and" \
+         "--jobs $jobs"
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
     echo "determinism check passed: identical output at --jobs 1 and" \
          "--jobs $jobs, with the block cache on and off, with" \
@@ -891,8 +936,9 @@ if [ "$status" -eq 0 ]; then
          "and off, with the arena stores cold, warm, bypassed" \
          "and concurrently attached, with lockstep batch replay" \
          "on and off, with the synthetic policy sweep across" \
-         "job counts and batch modes, and with the follower replay" \
-         "pinned to every simd tier"
+         "job counts and batch modes, with the follower replay" \
+         "pinned to every simd tier, and with the microtrace walks" \
+         "on the worker pool"
 else
     echo "determinism check FAILED" >&2
 fi

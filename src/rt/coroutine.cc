@@ -16,6 +16,23 @@
 #include <ucontext.h>
 #endif
 
+// Under AddressSanitizer every stack switch is announced through the
+// fiber API, so ASan does not take it for a wild stack-pointer jump;
+// other builds compile the announcements away.
+#if defined(__SANITIZE_ADDRESS__)
+#define CRW_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CRW_ASAN_FIBERS 1
+#endif
+#endif
+#ifdef CRW_ASAN_FIBERS
+#include <sanitizer/common_interface_defs.h>
+#define CRW_ASAN_SWITCH(call) call
+#else
+#define CRW_ASAN_SWITCH(call) static_cast<void>(0)
+#endif
+
 namespace crw {
 
 namespace {
@@ -71,6 +88,11 @@ struct Coroutine::Impl
     ucontext_t context;
     ucontext_t mainContext;
 #endif
+    // ASan's view (CRW_ASAN_SWITCH): each side's parked fake stack,
+    // and the bounds of the resuming context's stack.
+    void *mainFake = nullptr, *coroFake = nullptr;
+    const void *mainBottom = nullptr;
+    std::size_t mainSize = 0;
 };
 
 extern "C" void
@@ -103,6 +125,8 @@ Coroutine::~Coroutine()
 void
 Coroutine::body()
 {
+    CRW_ASAN_SWITCH(__sanitizer_finish_switch_fiber(
+        nullptr, &impl_->mainBottom, &impl_->mainSize));
     try {
         entry_();
     } catch (...) {
@@ -110,6 +134,9 @@ Coroutine::body()
     }
     finished_ = true;
     inside_ = false;
+    // Null fake-stack slot: this stack is never resumed.
+    CRW_ASAN_SWITCH(__sanitizer_start_switch_fiber(
+        nullptr, impl_->mainBottom, impl_->mainSize));
 #if CRW_FAST_FIBERS
     crwSwapStack(&impl_->coroSp, impl_->mainSp);
 #else
@@ -155,12 +182,16 @@ Coroutine::resume()
         g_starting = this;
     }
     inside_ = true;
+    CRW_ASAN_SWITCH(__sanitizer_start_switch_fiber(
+        &impl_->mainFake, stack_.data(), stack_.size()));
 #if CRW_FAST_FIBERS
     crwSwapStack(&impl_->mainSp, impl_->coroSp);
 #else
     if (swapcontext(&impl_->mainContext, &impl_->context) != 0)
         crw_fatal << "swapcontext into coroutine failed";
 #endif
+    CRW_ASAN_SWITCH(
+        __sanitizer_finish_switch_fiber(impl_->mainFake, nullptr, nullptr));
     if (pending_) {
         auto p = pending_;
         pending_ = nullptr;
@@ -173,12 +204,16 @@ Coroutine::yieldToMain()
 {
     crw_assert(inside_);
     inside_ = false;
+    CRW_ASAN_SWITCH(__sanitizer_start_switch_fiber(
+        &impl_->coroFake, impl_->mainBottom, impl_->mainSize));
 #if CRW_FAST_FIBERS
     crwSwapStack(&impl_->coroSp, impl_->mainSp);
 #else
     if (swapcontext(&impl_->context, &impl_->mainContext) != 0)
         crw_fatal << "swapcontext to main failed";
 #endif
+    CRW_ASAN_SWITCH(__sanitizer_finish_switch_fiber(
+        impl_->coroFake, &impl_->mainBottom, &impl_->mainSize));
     inside_ = true;
 }
 

@@ -11,13 +11,14 @@
  *
  *  - run() publishes one job (a plain function pointer + context, no
  *    allocation) and participates as worker 0 itself;
- *  - workers claim indices in chunks off one atomic counter — the
+ *  - workers claim one index at a time off one atomic counter — the
  *    classic work-stealing-by-counter schedule: a fast worker simply
- *    claims more chunks, and the chunking amortizes the atomic to
- *    O(count / chunk) operations;
+ *    claims more indices, and no worker can sit on a block of heavy
+ *    tasks while the others idle. Tasks are trace walks or predecodes
+ *    lasting milliseconds, so one atomic per task is noise;
  *  - the first exception thrown by any task is captured and rethrown
- *    on the caller after the job drains (remaining claimed chunks
- *    finish; unclaimed chunks are abandoned), so a failing replay
+ *    on the caller after the job drains (tasks already running
+ *    finish; unclaimed indices are abandoned), so a failing replay
  *    point surfaces as an ordinary exception instead of
  *    std::terminate;
  *  - helper threads are spawned lazily, up to the largest
@@ -114,7 +115,6 @@ class HostPool
     TaskFn fn_ = nullptr;
     void *ctx_ = nullptr;
     std::size_t count_ = 0;
-    std::size_t chunk_ = 1;
     std::atomic<std::size_t> next_{0};
 
     std::atomic<bool> failed_{false};

@@ -6,8 +6,9 @@
  * count it), CRW_REPLAY_BATCH caps the width (ragged tail chunks) and
  * "0" pins batching off, a cache-disabled sweep still batches (the
  * --no-cache path), and a --trace-out run falls back to per-point
- * replays (the timeline observer is per-point only). Batched results
- * must stay bit-identical to fresh per-point replays throughout.
+ * replays (the timeline observer is per-point only). Replay units are
+ * dispatched longest first (longestFirstOrder). Batched results must
+ * stay bit-identical to fresh per-point replays throughout.
  */
 
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include "bench/plan.h"
 #include "obs/metrics.h"
 #include "trace/run_metrics.h"
+#include "trace/synth.h"
 #include "win/simd.h"
 
 namespace crw {
@@ -259,6 +261,71 @@ TEST(BatchExecutor, CacheDisabledSweepStillBatches)
             replayPoint(cachedTrace(p.behavior), p.engine,
                         p.policy, &cachedFlatTrace(p.behavior));
         EXPECT_TRUE(metricsBitIdentical(pointResult(p), fresh))
+            << pointConfigKey(p);
+    }
+}
+
+TEST(BatchExecutor, LongestFirstOrderSortsByCostKeepingPlanOrder)
+{
+    // Units as the executor forms them: invariant-checking width-1
+    // units first, then the batch groups. Points 0-3 and 8-10 replay a
+    // 100-event trace, points 4-7 a 1000-event one.
+    const std::vector<std::vector<std::size_t>> units{
+        {0},         // invariant-checking, light: 100
+        {1, 2, 3},   // light batch: 300
+        {4},         // width-1, heavy: 1000
+        {5, 6},      // heavy batch: 2000
+        {7},         // invariant-checking, heavy: 1000
+        {8, 9, 10},  // light batch: 300
+    };
+    const std::vector<std::uint64_t> events{100,  100,  100,  100,
+                                            1000, 1000, 1000, 1000,
+                                            100,  100,  100};
+    EXPECT_EQ(longestFirstOrder(units, events),
+              (std::vector<std::size_t>{3, 2, 4, 1, 5, 0}));
+    EXPECT_TRUE(longestFirstOrder({}, {}).empty());
+}
+
+TEST(BatchExecutor, LongestFirstDispatchMatchesSerialReplay)
+{
+    // A light synthetic trace listed before the heavy spell trace, so
+    // longest-first dispatch reverses the plan order, with a width-1
+    // and an invariant-checking unit in the mix. At --jobs 2 every
+    // point must come out bit-identical to a serial replay.
+    const ScopedNoCache nocache;
+    const BehaviorId light = BehaviorId::fromSynth(SynthSpec{});
+    const BehaviorId heavy = BehaviorId::spell(ConcurrencyLevel::High,
+                                               GranularityLevel::Fine);
+    ExperimentPlan plan;
+    for (const int w : {6, 10, 14})
+        plan.add(makePlanPoint(light, SchemeKind::SP, w,
+                               SchedPolicy::Fifo));
+    PlanPoint checked =
+        makePlanPoint(light, SchemeKind::NS, 6, SchedPolicy::Fifo);
+    checked.engine.checkInvariants = true;
+    plan.add(checked);
+    plan.add(makePlanPoint(heavy, SchemeKind::SNP, 23,
+                           SchedPolicy::Fifo));
+    for (const int w : {25, 27, 29})
+        plan.add(makePlanPoint(heavy, SchemeKind::NS, w,
+                               SchedPolicy::Fifo));
+
+    const char *argv[] = {"test_batch_executor", "--jobs=2"};
+    ASSERT_TRUE(benchInit(2, argv));
+    ASSERT_EQ(sweepJobs(), 2);
+    const std::uint64_t batches = counter("replay.batches");
+    const std::uint64_t points = counter("replay.points");
+    executePlan(plan);
+    const char *reset[] = {"test_batch_executor"};
+    ASSERT_TRUE(benchInit(1, reset));
+
+    EXPECT_EQ(counter("replay.batches"), batches + 2);
+    EXPECT_EQ(counter("replay.points"), points + plan.size());
+    for (const PlanPoint &p : plan.points()) {
+        const RunMetrics serial =
+            replayPoint(cachedTrace(p.behavior), p.engine,
+                        p.policy, &cachedFlatTrace(p.behavior));
+        EXPECT_TRUE(metricsBitIdentical(pointResult(p), serial))
             << pointConfigKey(p);
     }
 }

@@ -2,13 +2,17 @@
  * @file
  * HostPool (rt/host_pool.h): the process-lifetime worker pool behind
  * ParallelSweep. Every index must run exactly once regardless of the
- * worker count, the first task exception must be rethrown on the
- * caller after the job drains, and the pool must stay reusable after
- * both completion and failure.
+ * worker count, workers claim one index at a time (a slow task holds
+ * back nothing but itself), the first task exception must be
+ * rethrown on the caller after the job drains, and the pool must stay
+ * reusable after both completion and failure.
  */
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -56,6 +60,44 @@ TEST(HostPool, MoreWorkersThanTasks)
     HostPool::instance().run(ctx.hits.size(), 64, countTask, &ctx);
     for (std::size_t i = 0; i < ctx.hits.size(); ++i)
         EXPECT_EQ(ctx.hits[i].load(), 1) << "index " << i;
+}
+
+struct BlockCtx
+{
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t count = 0;
+    std::size_t othersRan = 0;
+    bool othersRanFirst = false;
+};
+
+/** Task 0 blocks until every other task has run (bounded, so a pool
+ *  that parks tasks behind it fails instead of hanging). */
+void
+blockTask(void *ctx, std::size_t index, int)
+{
+    BlockCtx &c = *static_cast<BlockCtx *>(ctx);
+    std::unique_lock<std::mutex> lock(c.mu);
+    if (index != 0) {
+        if (++c.othersRan == c.count - 1)
+            c.cv.notify_all();
+        return;
+    }
+    c.othersRanFirst = c.cv.wait_for(
+        lock, std::chrono::seconds(10),
+        [&c] { return c.othersRan == c.count - 1; });
+}
+
+TEST(HostPool, ClaimsOneIndexAtATime)
+{
+    // Whichever worker claims task 0 is stuck in it; the other must be
+    // able to claim every remaining index. A worker that claimed a
+    // block of indices with task 0 would hold tasks 1.. behind it.
+    BlockCtx ctx;
+    ctx.count = 64;
+    HostPool::instance().run(ctx.count, 2, blockTask, &ctx);
+    EXPECT_TRUE(ctx.othersRanFirst);
+    EXPECT_EQ(ctx.othersRan, ctx.count - 1);
 }
 
 struct ThrowCtx
