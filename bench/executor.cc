@@ -245,8 +245,8 @@ executePoints(const std::vector<PlanPoint> &points)
         return;
 
     // Only behaviors that actually replay need their flat arenas —
-    // attach-or-predecode them on the shared worker pool, the same
-    // pool the replay fan-out below uses.
+    // attach-or-predecode them on the worker pool the replay fan-out
+    // below uses, each fan-out publishing its own busy times.
     std::vector<BehaviorId> behaviors;
     {
         std::set<std::string> seen;
@@ -254,10 +254,9 @@ executePoints(const std::vector<PlanPoint> &points)
             if (seen.insert(p.behavior.key()).second)
                 behaviors.push_back(p.behavior);
     }
-    const ParallelSweep pool(sweepJobs());
-    pool.run(behaviors.size(), [&](std::size_t i) {
-        cachedFlatTrace(behaviors[i]);
-    });
+    ParallelSweep(sweepJobs(), "host.predecode.worker_busy_s")
+        .run(behaviors.size(),
+             [&](std::size_t i) { cachedFlatTrace(behaviors[i]); });
 
     // Group the misses into lockstep batches: points sharing a
     // pointBatchKey (behavior, scheme, cost model, policy) follow
@@ -306,6 +305,7 @@ executePoints(const std::vector<PlanPoint> &points)
         longestFirstOrder(units, events);
 
     std::vector<RunMetrics> results(misses.size());
+    const ParallelSweep pool(sweepJobs(), "host.worker_busy_s");
     pool.run(units.size(), [&](std::size_t k) {
         const std::vector<std::size_t> &unit = units[order[k]];
         if (unit.size() == 1) {

@@ -14,67 +14,89 @@
  *    regime in which Tamir & Sequin showed one-window transfers are
  *    best — the only transfer size all crw handlers use).
  *
- * Drives WindowEngine directly (no EventTrace, no replay), so it has
- * no plan contribution and still bypasses the plan/cache layer
- * (ROADMAP item 4). Its walks fan out on the worker pool (--jobs),
- * each writing its own table slot; rendering and checks stay serial.
+ * The walks drive the production engine view (win/engine_batch.h), the
+ * second client of BatchedEngineView after the trace replay: all window
+ * counts of one (depth, scheme) pair walk in lockstep, the leader lane
+ * walking the Rng once and the other lanes replaying its op stream. No
+ * EventTrace is involved, so microtrace has no plan contribution and
+ * still bypasses the plan/cache layer (ROADMAP item 4). Its walks fan
+ * out on the worker pool (--jobs), each writing its own table slots;
+ * rendering and checks stay serial.
  */
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/executor.h"
 #include "bench/exhibits.h"
 #include "bench/harness.h"
+#include "bench/microtrace.h"
 #include "common/chart.h"
 #include "common/rng.h"
 #include "common/table.h"
+#include "win/engine_batch.h"
 
 namespace crw {
 namespace bench {
 namespace {
 
-/** Random-walk workload: @p threads round-robin, depth walks +-1. */
-Cycles
-runWalk(SchemeKind scheme, int windows, int threads, int max_depth,
-        int steps_per_quantum, int quanta, std::uint64_t seed)
+template <typename SchemeT>
+void
+walkLanes(const WalkShape &walk, WindowEngine *const *engines,
+          std::size_t lanes, int chunk_quanta)
 {
-    EngineConfig cfg;
-    cfg.numWindows = windows;
-    cfg.scheme = scheme;
-    WindowEngine engine(cfg);
-    Rng rng(seed);
-
-    std::vector<int> depth(static_cast<std::size_t>(threads), 1);
-    for (ThreadId t = 0; t < threads; ++t)
-        engine.addThread(t);
-
+    Rng rng(walk.seed);
     ThreadId current = 0;
-    engine.contextSwitch(current);
-    for (int q = 0; q < quanta; ++q) {
-        int &d = depth[static_cast<std::size_t>(current)];
-        for (int s = 0; s < steps_per_quantum; ++s) {
-            const bool up =
-                d <= 1 || (d < max_depth && rng.nextBool(0.5));
-            if (up) {
-                engine.save();
-                ++d;
-            } else {
-                engine.restore();
-                --d;
+    for (int q0 = 0; q0 < walk.quanta; q0 += chunk_quanta) {
+        // Every view after the first picks up where the previous one's
+        // finish() left all lanes: at the leader's schedule point.
+        BatchedEngineView<SchemeT> view(*engines[0], engines + 1, lanes);
+        if (q0 == 0)
+            view.contextSwitch(current);
+        const int q1 = std::min(walk.quanta, q0 + chunk_quanta);
+        for (int q = q0; q < q1; ++q) {
+            int d = view.depth(current);
+            for (int s = 0; s < walk.stepsPerQuantum; ++s) {
+                const bool up =
+                    d <= 1 || (d < walk.maxDepth && rng.nextBool(0.5));
+                if (up) {
+                    view.save();
+                    ++d;
+                } else {
+                    view.restore();
+                    --d;
+                }
+                view.charge(kStepCharge);
             }
-            engine.charge(20);
+            const ThreadId next =
+                static_cast<ThreadId>((current + 1) % walk.threads);
+            view.contextSwitch(next);
+            current = next;
         }
-        const ThreadId next =
-            static_cast<ThreadId>((current + 1) % threads);
-        engine.contextSwitch(next);
-        current = next;
+        // A walk records no residency checkpoints, so it never
+        // diverges.
+        const bool ok = view.finish();
+        crw_assert(ok);
     }
-    return engine.now();
 }
 
 } // namespace
+
+void
+runWalk(const WalkShape &walk, WindowEngine *const *engines,
+        std::size_t lanes, int chunk_quanta)
+{
+    crw_assert(lanes > 0 && chunk_quanta > 0);
+    for (std::size_t l = 0; l < lanes; ++l)
+        for (ThreadId t = 0; t < walk.threads; ++t)
+            engines[l]->addThread(t);
+    visitSchemeClass(engines[0]->scheme(), [&](auto scheme_tag) {
+        using SchemeT = typename decltype(scheme_tag)::type;
+        walkLanes<SchemeT>(walk, engines, lanes, chunk_quanta);
+    });
+}
 
 int
 runMicrotrace(const FlagSet &)
@@ -84,9 +106,14 @@ runMicrotrace(const FlagSet &)
 
     SelfCheck check;
 
-    // Every (depth, scheme, windows) walk runs once on the pool, into
-    // one table per depth indexed [scheme][window index]; the figures,
-    // the shape checks and the saturation scan all read these tables.
+    // Every (depth, scheme) pair walks once on the pool, as one lockstep
+    // unit whose lanes are the whole window sweep: a walk's choices read
+    // only the call depth, so every window count follows one op
+    // sequence. Each lane's clock fills its slot of one table per
+    // depth, indexed [scheme][window index]; the figures, the shape
+    // checks and the saturation scan all read these tables. (Six
+    // 12-lane units finished as fast as twelve 6-lane ones on 4
+    // workers and took ~15% less CPU: each unit pays a leader walk.)
     const std::vector<int> &sweep = defaultWindowSweep();
     const SchemeKind schemes[] = {SchemeKind::NS, SchemeKind::SNP,
                                   SchemeKind::SP};
@@ -102,14 +129,25 @@ runMicrotrace(const FlagSet &)
 
     std::vector<WalkTable> walks(
         2, WalkTable(3, std::vector<Cycles>(sweep.size())));
-    const std::size_t per_depth = 3 * sweep.size();
-    ParallelSweep(sweepJobs()).run(2 * per_depth, [&](std::size_t k) {
-        const std::size_t di = k / per_depth;
-        const std::size_t si = k % per_depth / sweep.size();
-        const std::size_t wi = k % sweep.size();
-        walks[di][si][wi] = runWalk(schemes[si], sweep[wi], 4,
-                                    depths[di], 200, 3000, 99);
-    });
+    ParallelSweep(sweepJobs(), "host.microtrace.worker_busy_s")
+        .run(2 * 3, [&](std::size_t k) {
+            const std::size_t di = k / 3;
+            const std::size_t si = k % 3;
+            WalkShape walk;
+            walk.maxDepth = depths[di];
+            std::vector<std::unique_ptr<WindowEngine>> owned;
+            std::vector<WindowEngine *> lanes;
+            for (const int windows : sweep) {
+                EngineConfig cfg;
+                cfg.numWindows = windows;
+                cfg.scheme = schemes[si];
+                owned.push_back(std::make_unique<WindowEngine>(cfg));
+                lanes.push_back(owned.back().get());
+            }
+            runWalk(walk, lanes.data(), lanes.size());
+            for (std::size_t wi = 0; wi < sweep.size(); ++wi)
+                walks[di][si][wi] = lanes[wi]->now();
+        });
 
     for (std::size_t di = 0; di < 2; ++di) {
         const int max_depth = depths[di];

@@ -257,8 +257,8 @@ benchFinish()
     }
 }
 
-ParallelSweep::ParallelSweep(int jobs)
-    : jobs_(jobs < 1 ? 1 : jobs)
+ParallelSweep::ParallelSweep(int jobs, std::string busy_metric)
+    : jobs_(jobs < 1 ? 1 : jobs), busyMetric_(std::move(busy_metric))
 {}
 
 void
@@ -330,7 +330,7 @@ ParallelSweep::run(std::size_t count,
 
     if (obs)
         for (const double b : busy)
-            metrics().sample("host.worker_busy_s", b);
+            metrics().sample(busyMetric_, b);
     if (spans)
         for (obs::SpanCollector &sc : collectors)
             traceWriter().addTrack(sc.take());

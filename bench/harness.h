@@ -132,12 +132,23 @@ void manifestNote(const std::string &key, const std::string &value);
  * If a task throws, the first exception is rethrown from run() on the
  * caller once in-flight tasks drain (unclaimed tasks are abandoned);
  * the sweep object stays reusable afterwards.
+ *
+ * With observability on, each run() samples every worker's busy time
+ * into its own host metric, named per fan-out so that one job's idle
+ * workers never read as another's.
  */
 class ParallelSweep
 {
   public:
-    /** @param jobs Worker count; <= 1 runs inline on the caller. */
-    explicit ParallelSweep(int jobs);
+    /**
+     * @param jobs Worker count; <= 1 runs inline on the caller.
+     * @param busy_metric The host metric the per-worker busy samples
+     *        go to: "host.<job>.worker_busy_s", except the executor's
+     *        replay fan-out, which alone publishes host.worker_busy_s
+     *        (what perfbench's pool.worker_busy_{max,min}_s read).
+     */
+    explicit ParallelSweep(
+        int jobs, std::string busy_metric = "host.sweep.worker_busy_s");
 
     void run(std::size_t count,
              const std::function<void(std::size_t)> &task) const;
@@ -146,6 +157,7 @@ class ParallelSweep
 
   private:
     int jobs_;
+    std::string busyMetric_;
 };
 
 /** Ensure the parent directory exists, return "bench_out/<name>". */

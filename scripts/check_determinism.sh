@@ -77,9 +77,12 @@
 #     tier it was pinned to.
 #
 # 10. The microtrace walks (bench/exhibit_microtrace.cc) fan out on
-#     the worker pool, each writing its own table slot: `crw-bench
+#     the worker pool, each writing its own table slots: `crw-bench
 #     microtrace` at --jobs 1 and --jobs N produces byte-identical
-#     microtrace_d*.csv files and stdout.
+#     microtrace_d*.csv files and stdout. The walks' follower lanes
+#     replay on the engine view, NS through the lane-SoA pass on the
+#     vector tiers, so the same bytes must also come out under
+#     CRW_SIMD=scalar, =sse2 and =avx2 (at --jobs N).
 #
 # Usage: scripts/check_determinism.sh [build-dir] [jobs]
 #   build-dir  CMake build tree containing bench/ (default: build)
@@ -889,11 +892,14 @@ else
 fi
 
 # Part 10: the microtrace walks run on the worker pool; their table
-# must not depend on which worker ran which walk.
+# must not depend on which worker ran which walk, nor on the SIMD tier
+# the walks' NS follower lanes replay on.
 run_microtrace() {
-    # $1: subdir, $2: --jobs value
+    # $1: subdir, $2: --jobs value, $3: CRW_SIMD value (default: the
+    # caller's environment)
     mkdir -p "$workdir/$1"
     (cd "$workdir/$1" &&
+     if [ $# -ge 3 ]; then export CRW_SIMD="$3"; fi &&
      "$crwbench_abs" microtrace --jobs "$2" > stdout.txt)
 }
 
@@ -901,6 +907,10 @@ echo "== crw-bench microtrace --jobs 1"
 run_microtrace micro_serial 1
 echo "== crw-bench microtrace --jobs $jobs"
 run_microtrace micro_par "$jobs"
+for tier in scalar sse2 avx2; do
+    echo "== crw-bench microtrace --jobs $jobs (CRW_SIMD=$tier)"
+    run_microtrace "micro_$tier" "$jobs" "$tier"
+done
 
 found=0
 for serial_csv in "$workdir"/micro_serial/bench_out/microtrace_d*.csv; do
@@ -913,6 +923,15 @@ for serial_csv in "$workdir"/micro_serial/bench_out/microtrace_d*.csv; do
         echo "  FAIL $name differs between --jobs 1 and --jobs $jobs"
         status=1
     fi
+    for tier in scalar sse2 avx2; do
+        if cmp -s "$serial_csv" "$workdir/micro_$tier/bench_out/$name"
+        then
+            echo "  ok   $name identical under CRW_SIMD=$tier"
+        else
+            echo "  FAIL $name differs under CRW_SIMD=$tier"
+            status=1
+        fi
+    done
 done
 if [ "$found" -ne 2 ]; then
     echo "error: the microtrace run produced $found of 2 CSVs" >&2
@@ -927,6 +946,15 @@ else
          "--jobs $jobs"
     status=1
 fi
+for tier in scalar sse2 avx2; do
+    if cmp -s "$workdir/micro_serial/stdout.txt" \
+              "$workdir/micro_$tier/stdout.txt"; then
+        echo "  ok   microtrace stdout identical under CRW_SIMD=$tier"
+    else
+        echo "  FAIL microtrace stdout differs under CRW_SIMD=$tier"
+        status=1
+    fi
+done
 
 if [ "$status" -eq 0 ]; then
     echo "determinism check passed: identical output at --jobs 1 and" \
@@ -938,7 +966,7 @@ if [ "$status" -eq 0 ]; then
          "on and off, with the synthetic policy sweep across" \
          "job counts and batch modes, with the follower replay" \
          "pinned to every simd tier, and with the microtrace walks" \
-         "on the worker pool"
+         "on the worker pool at every simd tier"
 else
     echo "determinism check FAILED" >&2
 fi

@@ -1,7 +1,6 @@
 #include "trace/replay_batch.h"
 
 #include <string>
-#include <type_traits>
 
 #include "common/logging.h"
 #include "win/engine_batch.h"
@@ -288,24 +287,13 @@ runLockstepLoop(const EventTrace &trace, const FlatTrace &flat,
     // One instantiation per (scheme, policy) pair: the scheme's event
     // bodies and the policy's placement verbs and quantum branches
     // compile to straight-line code inside the flattened loop.
-    const auto dispatch = [&](auto scheme_tag) {
+    return visitSchemeClass(control.leader.scheme(), [&](auto scheme_tag) {
         using SchemeT = typename decltype(scheme_tag)::type;
         return control.policy.visit([&](auto &pol) {
             return lockstepLoop<SchemeT>(trace, flat, control, pol,
                                          followers, lanes, simd_path);
         });
-    };
-    switch (control.leader.scheme()) {
-      case SchemeKind::NS:
-        return dispatch(std::type_identity<detail::NsScheme>{});
-      case SchemeKind::SNP:
-        return dispatch(std::type_identity<detail::SnpScheme>{});
-      case SchemeKind::SP:
-        return dispatch(std::type_identity<detail::SpScheme>{});
-      case SchemeKind::Infinite:
-        return dispatch(std::type_identity<detail::InfiniteScheme>{});
-    }
-    crw_unreachable("bad scheme kind");
+    });
 }
 
 } // namespace detail_replay

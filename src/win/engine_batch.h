@@ -1,10 +1,12 @@
 /**
  * @file
  * BatchedEngineView: the statically-specialized engine event path of
- * every production replay (trace/replay_batch.cc). One view fronts an
- * array of K >= 1 WindowEngines that replay the same FlatTrace under
- * the same schedule, so one forward pass over the trace advances all
- * K engine states; a per-point replay is the width-1 case.
+ * every production replay (trace/replay_batch.cc) and of the microtrace
+ * walks (bench/exhibit_microtrace.cc). One view fronts an array of
+ * K >= 1 WindowEngines that follow the same schedule of engine events
+ * (one FlatTrace replayed under one policy, or one random call-depth
+ * walk), so one forward pass over that schedule advances all K engine
+ * states; a per-point replay is the width-1 case.
  *
  * Lane 0 (the leader) advances inline with the control loop. Each of
  * its event methods is the same body as the corresponding
@@ -37,7 +39,9 @@
  * matter how its window count, PRW reclamation or allocation policy
  * differ; under working-set the batch runs optimistically and every
  * residency read is re-verified on every lane (below), aborting the
- * batch on the first disagreement.
+ * batch on the first disagreement. A microtrace walk's choices read
+ * only the running thread's call depth, which every lane shares
+ * (depth() below), so its lanes never diverge.
  *
  * Followers: while the leader runs, the view records the *engine op
  * stream* — the sequence of save/restore/switch/exit events plus,
@@ -154,9 +158,13 @@ class BatchedEngineView
      * @param followers The other @p lanes - 1 engines. All K share the
      *        scheme kind; window counts and PRW/allocation variants
      *        may differ per lane. None may carry an observer or
-     *        checkInvariants (oracle-only features), and all must be
-     *        at the same point of the schedule (freshly constructed,
-     *        same registered threads).
+     *        checkInvariants (oracle-only features), and every
+     *        follower must be at the leader's point of the schedule:
+     *        freshly constructed with the same registered threads, or
+     *        flushed there by the finish() of a previous view over the
+     *        same engines. A long schedule may thus be driven as a
+     *        sequence of views, one per chunk, which keeps the
+     *        recorded op stream short.
      */
     BatchedEngineView(WindowEngine &leader,
                       WindowEngine *const *followers, std::size_t lanes)
@@ -794,6 +802,30 @@ class BatchedEngineView
     /** Width > 1 only: the follower lanes and their op stream. */
     std::unique_ptr<Followers> followers_;
 };
+
+/**
+ * Call @p f with std::type_identity<SchemeT>{} for the concrete scheme
+ * class of @p kind: the one place a runtime SchemeKind picks the
+ * BatchedEngineView instantiation its caller drives (the replay loop,
+ * trace/replay_batch.cc, and the microtrace walk,
+ * bench/exhibit_microtrace.cc).
+ */
+template <typename F>
+decltype(auto)
+visitSchemeClass(SchemeKind kind, F &&f)
+{
+    switch (kind) {
+      case SchemeKind::NS:
+        return f(std::type_identity<detail::NsScheme>{});
+      case SchemeKind::SNP:
+        return f(std::type_identity<detail::SnpScheme>{});
+      case SchemeKind::SP:
+        return f(std::type_identity<detail::SpScheme>{});
+      case SchemeKind::Infinite:
+        return f(std::type_identity<detail::InfiniteScheme>{});
+    }
+    crw_unreachable("bad scheme kind");
+}
 
 } // namespace crw
 

@@ -4,17 +4,22 @@
  * atoi-based path silently turned "8x" into 8 and "" into 0 workers),
  * and ParallelSweep's exception contract — a throwing sweep task must
  * surface on the caller as an ordinary exception (not std::terminate,
- * as the detached-thread design did), leaving the sweep reusable.
+ * as the detached-thread design did), leaving the sweep reusable —
+ * and its per-fan-out worker busy-time metric.
  */
 
 #include <atomic>
 #include <cstddef>
+#include <cstdlib>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bench/harness.h"
+#include "obs/metrics.h"
 
 namespace crw {
 namespace bench {
@@ -93,6 +98,42 @@ TEST(ParallelSweep, TaskExceptionRethrownAndSweepReusable)
         sweep.run(8, [&](std::size_t) { ran.fetch_add(1); });
         EXPECT_EQ(ran.load(), 8) << "jobs=" << jobs;
     }
+}
+
+/** Sample count of host sample @p name in the registry's JSON (0 if
+ *  it was never sampled). */
+std::uint64_t
+hostSampleCount(const std::string &name)
+{
+    std::ostringstream json;
+    metrics().writeJson(json, obs::RunManifest{});
+    const std::string key = "\"" + name + "\": {\"count\": ";
+    const std::string text = json.str();
+    const std::size_t at = text.find(key);
+    return at == std::string::npos
+               ? 0
+               : std::strtoull(text.c_str() + at + key.size(), nullptr,
+                               10);
+}
+
+TEST(ParallelSweep, EachFanOutPublishesItsOwnWorkerBusyMetric)
+{
+    // --metrics-out turns the host samples on; nothing is written
+    // unless benchFinish() runs.
+    const char *argv[] = {"test_harness", "--metrics-out=unused.json"};
+    ASSERT_TRUE(benchInit(2, argv));
+    const std::uint64_t replay = hostSampleCount("host.worker_busy_s");
+    ParallelSweep(3, "host.test_a.worker_busy_s")
+        .run(9, [](std::size_t) {});
+    ParallelSweep(2, "host.test_b.worker_busy_s")
+        .run(9, [](std::size_t) {});
+    const char *reset[] = {"test_harness"};
+    ASSERT_TRUE(benchInit(1, reset));
+
+    // One sample per worker, under the fan-out's own name only.
+    EXPECT_EQ(hostSampleCount("host.test_a.worker_busy_s"), 3u);
+    EXPECT_EQ(hostSampleCount("host.test_b.worker_busy_s"), 2u);
+    EXPECT_EQ(hostSampleCount("host.worker_busy_s"), replay);
 }
 
 } // namespace
