@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <map>
@@ -32,6 +33,41 @@ namespace {
 
 bool g_cacheEnabled = true;
 bool g_flatCacheEnabled = true;
+
+/**
+ * One behavior's memoized trace plus its payload checksum: the hash
+ * loadTraceFile verified or saveTraceFile computed, so no trace is
+ * hashed twice.
+ */
+struct TraceEntry
+{
+    EventTrace trace;
+    std::uint64_t checksum = 0;
+};
+
+/** cachedTrace's memo. Filled serially (executePoints captures before
+ *  it fans out); sweep workers only read it. */
+std::map<std::string, TraceEntry> g_traces;
+
+/**
+ * One behavior's flat arena, attached or predecoded exactly once: the
+ * first caller builds it under the slot's own mutex, a concurrent
+ * caller for the same behavior waits for it, and every caller gets
+ * the same FlatTrace.
+ */
+struct FlatSlot
+{
+    std::mutex mu;
+    bool ready = false;
+    FlatTrace flat;
+};
+
+/** g_flatMu guards only the lookup and insert of a slot, never a
+ *  build, so distinct behaviors attach, predecode and store at the
+ *  same time. std::map nodes stay put, so slot references outlive
+ *  the lock. */
+std::mutex g_flatMu;
+std::map<std::string, FlatSlot> g_flatSlots;
 
 // Result store: pointConfigKey -> RunMetrics. std::map references
 // stay valid across inserts, so pointResult() can hand out stable
@@ -79,6 +115,30 @@ counterAtLeast(const std::string &name, std::uint64_t v)
     }
 }
 
+/**
+ * Host-only stage ledger of one executePoints call: lap(name)
+ * publishes the wall time since the previous lap (or construction) as
+ * the host sample host.stage.<name>_s — a no-op with obs off.
+ */
+class StageClock
+{
+  public:
+    void
+    lap(const char *name)
+    {
+        const auto now = std::chrono::steady_clock::now();
+        if (obsEnabled())
+            metrics().sample(std::string("host.stage.") + name + "_s",
+                             std::chrono::duration<double>(now - last_)
+                                 .count());
+        last_ = now;
+    }
+
+  private:
+    std::chrono::steady_clock::time_point last_ =
+        std::chrono::steady_clock::now();
+};
+
 /** A point's obs label: "<trace key>/<scheme>/w<windows>/<policy>". */
 std::string
 pointLabel(const std::string &trace_key, const EngineConfig &config,
@@ -119,16 +179,15 @@ publishPoint(const std::string &trace_key, const EngineConfig &config,
  * batch is discarded whole and its points re-replayed individually
  * through replayPoint() — which then does the per-point bookkeeping
  * itself, so replay.points counts every replayed point exactly once
- * on either outcome.
+ * on either outcome. @p trace and @p flat are the unit's behavior's.
  */
 void
 runLockstepUnit(const std::vector<PlanPoint> &misses,
                 const std::vector<std::size_t> &unit,
+                const EventTrace &trace, const FlatTrace &flat,
                 std::vector<RunMetrics> &results)
 {
     const PlanPoint &p0 = misses[unit[0]];
-    const EventTrace &trace = cachedTrace(p0.behavior);
-    const FlatTrace &flat = cachedFlatTrace(p0.behavior);
     std::vector<EngineConfig> configs;
     configs.reserve(unit.size());
     for (const std::size_t i : unit)
@@ -175,9 +234,113 @@ runLockstepUnit(const std::vector<PlanPoint> &misses,
 }
 
 /**
+ * Attach the stored flat arena of @p trace, else predecode it (and,
+ * with the flat store on, store it), counting flat.attach or
+ * flat.predecode (+ flat.store) once. Safe to run for distinct traces
+ * at the same time: each has its own arena file.
+ */
+FlatTrace
+attachOrPredecode(const EventTrace &trace, std::uint64_t checksum)
+{
+    if (!g_flatCacheEnabled) {
+        metrics().add("flat.predecode", 1);
+        ringPublish(obs::RingEventCode::FlatPredecode, 0, checksum);
+        return FlatTrace::build(trace);
+    }
+    // Warm path: attach the predecoded arenas straight off disk. Any
+    // validation failure (absent file, stale version, damage) silently
+    // falls through to an in-memory rebuild.
+    const std::string path =
+        outputPath("flat/" + flatTraceFileName(checksum));
+    FlatTrace flat;
+    if (loadFlatTrace(path, checksum, flat)) {
+        metrics().add("flat.attach", 1);
+        ringPublish(obs::RingEventCode::FlatAttach, 0, checksum);
+        return flat;
+    }
+    flat = FlatTrace::build(trace);
+    metrics().add("flat.predecode", 1);
+    ringPublish(obs::RingEventCode::FlatPredecode, 0, checksum);
+    std::string err;
+    if (saveFlatTrace(flat, checksum, path, &err)) {
+        metrics().add("flat.store", 1);
+        ringPublish(obs::RingEventCode::FlatStore, 0, checksum);
+    } else {
+        std::cerr << "warning: could not store flat trace at " << path
+                  << ": " << err << '\n';
+    }
+    return flat;
+}
+
+/**
+ * cachedTrace's memo entry for @p behavior: in-memory first, then the
+ * disk cache, else one capture or generation (see cachedTrace).
+ */
+const TraceEntry &
+traceEntry(const BehaviorId &behavior)
+{
+    const std::string key = behavior.key();
+
+    // Spell behaviors stamp their corpus size into the trace file
+    // name and header; synthetic traces carry no corpus (c0).
+    const bool is_spell = behavior.kind == BehaviorId::Kind::Spell;
+    const SpellConfig cfg =
+        is_spell ? behaviorConfig(behavior.conc, behavior.gran)
+                 : SpellConfig{};
+    const std::uint64_t seed = behavior.seed();
+    const std::uint64_t corpus_bytes = is_spell ? cfg.corpusBytes : 0;
+    if (obsEnabled()) {
+        manifestNote("behaviors", key);
+        manifestNote("seed", std::to_string(seed));
+    }
+
+    const auto hit = g_traces.find(key);
+    if (hit != g_traces.end())
+        return hit->second;
+    const std::string path = outputPath(
+        "traces/" + key + "-s" + std::to_string(seed) + "-c" +
+        std::to_string(corpus_bytes) + ".trace");
+
+    TraceEntry entry;
+    std::string err;
+    if (loadTraceFile(path, entry.trace, &err, &entry.checksum)) {
+        if (entry.trace.key == key && entry.trace.seed == seed &&
+            entry.trace.corpusBytes == corpus_bytes)
+            return g_traces.emplace(key, std::move(entry))
+                .first->second;
+        std::cerr << "note: " << path
+                  << " is for a different workload; re-capturing\n";
+    }
+
+    if (is_spell) {
+        const SpellWorkload wl = SpellWorkload::make(cfg);
+        entry.trace = captureSpellTrace(wl, cfg);
+    } else {
+        entry.trace = generateSynthTrace(behavior.synth);
+    }
+    if (!saveTraceFile(entry.trace, path, &err, &entry.checksum))
+        std::cerr << "warning: could not cache trace at " << path
+                  << ": " << err << '\n';
+    return g_traces.emplace(key, std::move(entry)).first->second;
+}
+
+/** A trace's encoded script bytes: the cost proxy that orders the
+ *  predecode fan-out (it tracks the event count without a walk). */
+std::uint64_t
+scriptBytes(const EventTrace &trace)
+{
+    std::uint64_t n = 0;
+    for (const TraceThreadInfo &t : trace.threads)
+        n += t.code.size();
+    return n;
+}
+
+/**
  * Run every @p points entry not already in the store: capture the
- * traces (serially — cachedTrace mutates its memo), probe the result
- * cache, replay the misses on the worker pool, persist fresh results.
+ * traces (serially — that fills the trace memo), probe the result
+ * cache, attach or predecode the missed behaviors' flat arenas and
+ * replay the misses on the worker pool, persist fresh results. Each
+ * stage that runs publishes its wall time (StageClock).
  */
 void
 executePoints(const std::vector<PlanPoint> &points)
@@ -213,12 +376,14 @@ executePoints(const std::vector<PlanPoint> &points)
     if (todo.empty())
         return;
 
-    // Capture serially (cachedTrace mutates its memo). The flat
-    // arenas are deliberately NOT touched yet: a fully warm run must
-    // resolve every point from the result store below without paying
-    // a predecode or even an attach.
+    // Capture serially: this fills the trace memo, which later stages
+    // only read. The flat arenas are deliberately NOT touched yet: a
+    // fully warm run must resolve every point from the result store
+    // below without paying a predecode or even an attach.
+    StageClock stage;
     for (const PlanPoint &p : todo)
         cachedTrace(p.behavior);
+    stage.lap("capture");
 
     const bool use_cache = g_cacheEnabled;
     std::vector<PlanPoint> misses;
@@ -241,22 +406,46 @@ executePoints(const std::vector<PlanPoint> &points)
         missKeys.push_back(todoKeys[i]);
         missCacheKeys.push_back(cache_key);
     }
+    stage.lap("probe");
     if (misses.empty())
         return;
 
-    // Only behaviors that actually replay need their flat arenas —
-    // attach-or-predecode them on the worker pool the replay fan-out
-    // below uses, each fan-out publishing its own busy times.
+    // Only behaviors that actually replay need their flat arenas.
+    // Their traces and checksums are resolved here, on this thread,
+    // so no worker touches the trace memo; the workers then attach or
+    // predecode one behavior each (its own once-slot, see
+    // cachedFlatTrace), longest trace first.
     std::vector<BehaviorId> behaviors;
+    std::vector<const TraceEntry *> entries;
+    std::vector<std::size_t> behaviorOf(misses.size());
     {
-        std::set<std::string> seen;
-        for (const PlanPoint &p : misses)
-            if (seen.insert(p.behavior.key()).second)
-                behaviors.push_back(p.behavior);
+        std::map<std::string, std::size_t> index;
+        for (std::size_t i = 0; i < misses.size(); ++i) {
+            const BehaviorId &b = misses[i].behavior;
+            const auto ins = index.emplace(b.key(), behaviors.size());
+            if (ins.second) {
+                behaviors.push_back(b);
+                entries.push_back(&traceEntry(b));
+            }
+            behaviorOf[i] = ins.first->second;
+        }
     }
+    std::vector<std::vector<std::size_t>> singles(behaviors.size());
+    std::vector<std::uint64_t> bytes(behaviors.size());
+    for (std::size_t b = 0; b < behaviors.size(); ++b) {
+        singles[b] = {b};
+        bytes[b] = scriptBytes(entries[b]->trace);
+    }
+    const std::vector<std::size_t> byLength =
+        longestFirstOrder(singles, bytes);
+    std::vector<const FlatTrace *> flats(behaviors.size());
     ParallelSweep(sweepJobs(), "host.predecode.worker_busy_s")
-        .run(behaviors.size(),
-             [&](std::size_t i) { cachedFlatTrace(behaviors[i]); });
+        .run(behaviors.size(), [&](std::size_t k) {
+            const std::size_t b = byLength[k];
+            flats[b] = &cachedFlatTrace(behaviors[b], entries[b]->trace,
+                                        entries[b]->checksum);
+        });
+    stage.lap("flat");
 
     // Group the misses into lockstep batches: points sharing a
     // pointBatchKey (behavior, scheme, cost model, policy) follow
@@ -300,7 +489,7 @@ executePoints(const std::vector<PlanPoint> &points)
 
     std::vector<std::uint64_t> events(misses.size());
     for (std::size_t i = 0; i < misses.size(); ++i)
-        events[i] = cachedFlatTrace(misses[i].behavior).eventCount();
+        events[i] = flats[behaviorOf[i]]->eventCount();
     const std::vector<std::size_t> order =
         longestFirstOrder(units, events);
 
@@ -308,15 +497,18 @@ executePoints(const std::vector<PlanPoint> &points)
     const ParallelSweep pool(sweepJobs(), "host.worker_busy_s");
     pool.run(units.size(), [&](std::size_t k) {
         const std::vector<std::size_t> &unit = units[order[k]];
+        const std::size_t b = behaviorOf[unit[0]];
+        const EventTrace &trace = entries[b]->trace;
         if (unit.size() == 1) {
             const PlanPoint &p = misses[unit[0]];
             results[unit[0]] =
-                replayPoint(cachedTrace(p.behavior), p.engine,
-                            p.policy, &cachedFlatTrace(p.behavior));
+                replayPoint(trace, p.engine, p.policy, flats[b]);
             return;
         }
-        runLockstepUnit(misses, unit, results);
+        runLockstepUnit(misses, unit, trace, *flats[b], results);
     });
+    stage.lap("replay");
+
     for (std::size_t i = 0; i < misses.size(); ++i) {
         storeInsert(missKeys[i], std::move(results[i]));
         if (use_cache) {
@@ -328,6 +520,7 @@ executePoints(const std::vector<PlanPoint> &points)
             }
         }
     }
+    stage.lap("store");
 }
 
 } // namespace
@@ -420,112 +613,37 @@ pointResult(const PlanPoint &point)
 const EventTrace &
 cachedTrace(const BehaviorId &behavior)
 {
-    static std::map<std::string, EventTrace> cache;
-    const std::string key = behavior.key();
-
-    // Spell behaviors stamp their corpus size into the trace file
-    // name and header; synthetic traces carry no corpus (c0).
-    const bool is_spell = behavior.kind == BehaviorId::Kind::Spell;
-    const SpellConfig cfg =
-        is_spell ? behaviorConfig(behavior.conc, behavior.gran)
-                 : SpellConfig{};
-    const std::uint64_t seed = behavior.seed();
-    const std::uint64_t corpus_bytes = is_spell ? cfg.corpusBytes : 0;
-    if (obsEnabled()) {
-        manifestNote("behaviors", key);
-        manifestNote("seed", std::to_string(seed));
-    }
-
-    const auto hit = cache.find(key);
-    if (hit != cache.end())
-        return hit->second;
-    const std::string path = outputPath(
-        "traces/" + key + "-s" + std::to_string(seed) + "-c" +
-        std::to_string(corpus_bytes) + ".trace");
-
-    EventTrace trace;
-    std::string err;
-    if (loadTraceFile(path, trace, &err)) {
-        if (trace.key == key && trace.seed == seed &&
-            trace.corpusBytes == corpus_bytes)
-            return cache.emplace(key, std::move(trace))
-                .first->second;
-        std::cerr << "note: " << path
-                  << " is for a different workload; re-capturing\n";
-    }
-
-    if (is_spell) {
-        const SpellWorkload wl = SpellWorkload::make(cfg);
-        trace = captureSpellTrace(wl, cfg);
-    } else {
-        trace = generateSynthTrace(behavior.synth);
-    }
-    if (!saveTraceFile(trace, path, &err))
-        std::cerr << "warning: could not cache trace at " << path
-                  << ": " << err << '\n';
-    return cache.emplace(key, std::move(trace)).first->second;
-}
-
-const FlatTrace &
-cachedFlatTrace(const BehaviorId &behavior)
-{
-    // Unlike cachedTrace, this memo is probed from sweep workers, so
-    // it carries its own lock; std::map node references stay valid
-    // across inserts. The trace itself must already be captured —
-    // cachedTrace is called under the lock only for its memo lookup.
-    static std::mutex mu;
-    static std::map<std::string, FlatTrace> cache;
-    const std::string key = behavior.key();
-    std::lock_guard<std::mutex> lock(mu);
-    const auto hit = cache.find(key);
-    if (hit != cache.end())
-        return hit->second;
-
-    const std::uint64_t checksum = cachedTraceChecksum(behavior);
-    if (g_flatCacheEnabled) {
-        // Warm path: attach the predecoded arenas straight off disk.
-        // Any validation failure (absent file, stale version, damage)
-        // silently falls through to an in-memory rebuild.
-        const std::string path =
-            outputPath("flat/" + flatTraceFileName(checksum));
-        FlatTrace attached;
-        if (loadFlatTrace(path, checksum, attached)) {
-            metrics().add("flat.attach", 1);
-            ringPublish(obs::RingEventCode::FlatAttach, 0, checksum);
-            return cache.emplace(key, std::move(attached))
-                .first->second;
-        }
-        FlatTrace flat = FlatTrace::build(cachedTrace(behavior));
-        metrics().add("flat.predecode", 1);
-        ringPublish(obs::RingEventCode::FlatPredecode, 0, checksum);
-        std::string err;
-        if (saveFlatTrace(flat, checksum, path, &err)) {
-            metrics().add("flat.store", 1);
-            ringPublish(obs::RingEventCode::FlatStore, 0, checksum);
-        } else {
-            std::cerr << "warning: could not store flat trace at "
-                      << path << ": " << err << '\n';
-        }
-        return cache.emplace(key, std::move(flat)).first->second;
-    }
-
-    metrics().add("flat.predecode", 1);
-    ringPublish(obs::RingEventCode::FlatPredecode, 0, checksum);
-    return cache
-        .emplace(key, FlatTrace::build(cachedTrace(behavior)))
-        .first->second;
+    return traceEntry(behavior).trace;
 }
 
 std::uint64_t
 cachedTraceChecksum(const BehaviorId &behavior)
 {
-    static std::map<std::string, std::uint64_t> memo;
-    const std::string key = behavior.key();
-    const auto hit = memo.find(key);
-    if (hit != memo.end())
-        return hit->second;
-    const std::uint64_t sum = traceChecksum(cachedTrace(behavior));
-    return memo.emplace(key, sum).first->second;
+    return traceEntry(behavior).checksum;
+}
+
+const FlatTrace &
+cachedFlatTrace(const BehaviorId &behavior, const EventTrace &trace,
+                std::uint64_t checksum)
+{
+    FlatSlot *slot;
+    {
+        std::lock_guard<std::mutex> lock(g_flatMu);
+        slot = &g_flatSlots[behavior.key()];
+    }
+    std::lock_guard<std::mutex> lock(slot->mu);
+    if (!slot->ready) {
+        slot->flat = attachOrPredecode(trace, checksum);
+        slot->ready = true;
+    }
+    return slot->flat;
+}
+
+const FlatTrace &
+cachedFlatTrace(const BehaviorId &behavior)
+{
+    const TraceEntry &entry = traceEntry(behavior);
+    return cachedFlatTrace(behavior, entry.trace, entry.checksum);
 }
 
 RunMetrics

@@ -11,9 +11,14 @@
  *  2. probe the on-disk point-result cache (bench/result_cache.h) for
  *     every point not yet in the in-process store — hits are counted
  *     (cache.hit) and need no replay;
- *  3. replay the misses on one ParallelSweep worker pool (--jobs),
+ *  3. attach or predecode the flat arena of every behavior with a
+ *     miss, one behavior per worker, longest trace first;
+ *  4. replay the misses on one ParallelSweep worker pool (--jobs),
  *     as lockstep units dispatched longest first (longestFirstOrder),
  *     and persist each fresh result back to the cache (cache.store).
+ *
+ * With obs on, each stage that ran publishes its wall time as the
+ * host sample host.stage.{capture,probe,flat,replay,store}_s.
  *
  * Reports then look results up by plan coordinate (pointResult,
  * sweepSchemes); a lookup the plan forgot falls back to on-demand
@@ -103,20 +108,36 @@ const RunMetrics &pointResult(const PlanPoint &point);
  * The trace of one behavior. In-memory cache first, then the disk
  * cache bench_out/traces/<key>-s<seed>-c<bytes>.trace (stale or
  * corrupted files are re-captured), else one live capture run (Spell)
- * or a deterministic generation (Synth). Not thread-safe; the
- * executor captures before fanning out.
+ * or a deterministic generation (Synth). A miss fills the memo, so
+ * call it from one thread; the executor captures before fanning out.
  */
 const EventTrace &cachedTrace(const BehaviorId &behavior);
 
-/** FNV-1a checksum of the behavior's trace (capture-once, memoized). */
+/**
+ * FNV-1a checksum of the behavior's trace (traceChecksum), memoized
+ * with the trace: the value loadTraceFile verified or saveTraceFile
+ * computed, never a second hash.
+ */
 std::uint64_t cachedTraceChecksum(const BehaviorId &behavior);
 
 /**
  * The predecoded flat image of the behavior's trace (flat_trace.h),
- * built once per behavior and shared by every replay point of the
- * sweep. Thread-safe (the executor predecodes on the worker pool);
- * the underlying trace must already be captured (cachedTrace).
+ * attached from the flat store or predecoded exactly once per
+ * behavior and shared by every replay point of the sweep.
+ *
+ * Thread-safe: each behavior has its own once-slot, so distinct
+ * behaviors build at the same time while a second caller for the
+ * same behavior waits for the first and gets the same object. @p trace
+ * and @p checksum must be the behavior's cachedTrace and
+ * cachedTraceChecksum; the executor resolves them before it fans out,
+ * so its workers never touch the trace memo.
  */
+const FlatTrace &cachedFlatTrace(const BehaviorId &behavior,
+                                 const EventTrace &trace,
+                                 std::uint64_t checksum);
+
+/** cachedFlatTrace of the behavior's cachedTrace and checksum (those
+ *  lookups fill the trace memo on a miss; see cachedTrace). */
 const FlatTrace &cachedFlatTrace(const BehaviorId &behavior);
 
 /**

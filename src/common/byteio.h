@@ -16,6 +16,7 @@
 #define CRW_COMMON_BYTEIO_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -42,23 +43,43 @@ fnv1a64(const std::string &s, std::uint64_t seed = 0xcbf29ce484222325ull)
                    s.size(), seed);
 }
 
-/** Append-only little-endian encoder. */
+/**
+ * Append-only little-endian encoder. Every write goes through
+ * append() (one resize + memcpy): the byte-at-a-time push_back and
+ * iterator-range insert it replaces tripped GCC 12's -Wrestrict /
+ * -Wstringop-overflow false positives once inlined into Release
+ * builds.
+ */
 struct ByteWriter
 {
     std::vector<std::uint8_t> bytes;
 
     void
+    append(const void *data, std::size_t n)
+    {
+        if (n == 0)
+            return;
+        const std::size_t at = bytes.size();
+        bytes.resize(at + n);
+        std::memcpy(bytes.data() + at, data, n);
+    }
+
+    void
     u32(std::uint32_t v)
     {
+        std::uint8_t b[4];
         for (int i = 0; i < 4; ++i)
-            bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+            b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        append(b, sizeof b);
     }
 
     void
     u64(std::uint64_t v)
     {
+        std::uint8_t b[8];
         for (int i = 0; i < 8; ++i)
-            bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+            b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        append(b, sizeof b);
     }
 
     /** Doubles travel as their exact IEEE-754 bit pattern. */
@@ -75,14 +96,14 @@ struct ByteWriter
     str(const std::string &s)
     {
         u32(static_cast<std::uint32_t>(s.size()));
-        bytes.insert(bytes.end(), s.begin(), s.end());
+        append(s.data(), s.size());
     }
 
     void
     blob(const std::vector<std::uint8_t> &b)
     {
         u64(b.size());
-        bytes.insert(bytes.end(), b.begin(), b.end());
+        append(b.data(), b.size());
     }
 };
 

@@ -61,6 +61,14 @@ MetricsRegistry::sample(const std::string &name, double v)
     samples_[name].sample(v);
 }
 
+SampleSummary
+MetricsRegistry::sampleSummary(const std::string &name) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = samples_.find(name);
+    return it == samples_.end() ? SampleSummary{} : it->second;
+}
+
 void
 MetricsRegistry::mergePoint(const std::string &label,
                             const PointRecord &rec)

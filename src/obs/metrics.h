@@ -154,6 +154,9 @@ class MetricsRegistry
     /** Record one sample of a distribution (mutex-protected). */
     void sample(const std::string &name, double v);
 
+    /** The samples of @p name so far (count 0 if never sampled). */
+    SampleSummary sampleSummary(const std::string &name) const;
+
     /**
      * Merge one finished run point under @p label (e.g.
      * "HC-fine/NS/w8/fifo"). Counters and cycles add; values insert

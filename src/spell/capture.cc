@@ -32,10 +32,15 @@ runSpellLive(SchemeKind scheme, int windows, SchedPolicy policy,
 std::string
 spellTraceKey(const SpellConfig &config)
 {
-    return "m" + std::to_string(config.m) + "-n" +
-           std::to_string(config.n) + "-d" +
-           std::to_string(config.dictBytes) + "-v" +
-           std::to_string(config.vocabularyWords);
+    std::string key = "m";
+    key += std::to_string(config.m);
+    key += "-n";
+    key += std::to_string(config.n);
+    key += "-d";
+    key += std::to_string(config.dictBytes);
+    key += "-v";
+    key += std::to_string(config.vocabularyWords);
+    return key;
 }
 
 EventTrace
@@ -46,8 +51,9 @@ captureSpellTrace(const SpellWorkload &workload,
                            config.corpusBytes);
 
     RuntimeConfig rc;
+    // The cheapest engine to model: no window traps, no sharing.
     rc.engine.numWindows = 8;
-    rc.engine.scheme = SchemeKind::SP;
+    rc.engine.scheme = SchemeKind::Infinite;
     rc.engine.checkInvariants = false;
     rc.policy = SchedPolicy::Fifo;
     Runtime rt(rc);

@@ -40,7 +40,8 @@ std::string spellTraceKey(const SpellConfig &config);
  * Capture the workload's event trace with one live run. The engine
  * configuration of the capture run is irrelevant to the result (the
  * recorded per-thread scripts are configuration-independent; the
- * round-trip test asserts this), so a cheap fixed one is used.
+ * round-trip test asserts this), so it runs on the Infinite scheme,
+ * the cheapest one to model.
  */
 EventTrace captureSpellTrace(const SpellWorkload &workload,
                              const SpellConfig &config);

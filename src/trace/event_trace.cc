@@ -241,16 +241,22 @@ traceChecksum(const EventTrace &trace)
 
 bool
 saveTraceFile(const EventTrace &trace, const std::string &path,
-              std::string *error)
+              std::string *error, std::uint64_t *checksum)
 {
     ByteWriter payload;
     encodeTracePayload(trace, payload);
+    const std::uint64_t sum =
+        fnv1a64(payload.bytes.data(), payload.bytes.size());
+    if (checksum)
+        *checksum = sum;
 
-    ByteWriter file{{kMagic, kMagic + 8}};
+    // 8 magic + 4 version + payload + 8 trailing checksum.
+    ByteWriter file;
+    file.bytes.reserve(12 + payload.bytes.size() + 8);
+    file.append(kMagic, 8);
     file.u32(kTraceFormatVersion);
-    file.bytes.insert(file.bytes.end(), payload.bytes.begin(),
-                      payload.bytes.end());
-    file.u64(fnv1a64(payload.bytes.data(), payload.bytes.size()));
+    file.append(payload.bytes.data(), payload.bytes.size());
+    file.u64(sum);
 
     return writeFileAtomic(file.bytes, path, error);
 }
@@ -307,7 +313,7 @@ validateTraceCode(const std::vector<std::uint8_t> &code,
 
 bool
 loadTraceFile(const std::string &path, EventTrace &out,
-              std::string *error)
+              std::string *error, std::uint64_t *checksum)
 {
     auto fail = [error](const std::string &why) {
         if (error)
@@ -336,7 +342,8 @@ loadTraceFile(const std::string &path, EventTrace &out,
     const std::size_t payload_size = bytes.size() - 20;
     ByteReader csum{bytes.data() + bytes.size() - 8,
                 bytes.data() + bytes.size()};
-    if (fnv1a64(payload, payload_size) != csum.u64())
+    const std::uint64_t sum = fnv1a64(payload, payload_size);
+    if (sum != csum.u64())
         return fail("checksum mismatch (corrupted trace)");
 
     ByteReader r{payload, payload + payload_size};
@@ -376,6 +383,8 @@ loadTraceFile(const std::string &path, EventTrace &out,
                         "): " + why);
     }
     out = std::move(t);
+    if (checksum)
+        *checksum = sum;
     return true;
 }
 

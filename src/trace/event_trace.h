@@ -213,9 +213,15 @@ inline constexpr std::uint32_t kTraceFormatVersion = 2;
  */
 std::uint64_t traceChecksum(const EventTrace &trace);
 
-/** Write @p trace to @p path (via a temp file + rename). */
+/**
+ * Write @p trace to @p path (via a temp file + rename). @p checksum,
+ * when given, receives the payload checksum the file carries — equal
+ * to traceChecksum(trace) — whether or not the write succeeds, so a
+ * caller that just saved never hashes the trace a second time.
+ */
 bool saveTraceFile(const EventTrace &trace, const std::string &path,
-                   std::string *error = nullptr);
+                   std::string *error = nullptr,
+                   std::uint64_t *checksum = nullptr);
 
 /**
  * Structural validation of one thread's encoded event script: every
@@ -236,10 +242,13 @@ bool validateTraceCode(const std::vector<std::uint8_t> &code,
 /**
  * Read a trace back. Returns false (with a reason in @p error) on a
  * bad magic, unknown version, truncation, checksum mismatch, or a
- * thread event script that fails validateTraceCode().
+ * thread event script that fails validateTraceCode(). On success
+ * @p checksum, when given, receives the payload checksum the load
+ * verified — equal to traceChecksum(out).
  */
 bool loadTraceFile(const std::string &path, EventTrace &out,
-                   std::string *error = nullptr);
+                   std::string *error = nullptr,
+                   std::uint64_t *checksum = nullptr);
 
 } // namespace crw
 

@@ -38,7 +38,10 @@ flatTraceKey(std::uint64_t trace_checksum)
 std::string
 flatTraceFileName(std::uint64_t trace_checksum)
 {
-    return "c" + hex16(trace_checksum) + ".flat";
+    std::string name = "c";
+    name += hex16(trace_checksum);
+    name += ".flat";
+    return name;
 }
 
 bool

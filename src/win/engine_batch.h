@@ -394,7 +394,7 @@ class BatchedEngineView
             : ops(detail::threadOpStream()),
               startHot_(leader.hot_),
               startThreads_(leader.threadCounters_),
-              startExits_(leader.stats_.counter("thread_exits").value())
+              startExits_(leader.stats_.counterValue("thread_exits"))
         {
             ops.clear();
             lanes_.reserve(lanes - 1);
@@ -445,9 +445,11 @@ class BatchedEngineView
                 h0.switches - startHot_.switches;
             const Cycles charges =
                 h0.cyclesCompute - startHot_.cyclesCompute;
+            // counterValue and the exits > 0 guard below never create
+            // the counter: a lane reports the same StatGroup keys as the
+            // same run driven through the WindowEngine members.
             const std::uint64_t exits =
-                leader.stats_.counter("thread_exits").value() -
-                startExits_;
+                leader.stats_.counterValue("thread_exits") - startExits_;
             for (Lane &f : lanes_) {
                 WindowEngine &e = *f.e;
                 WindowEngine::HotCounters &h = f.hot;
@@ -460,7 +462,8 @@ class BatchedEngineView
                 e.hot_ = h;
                 e.now_ = f.offset + charges + callret;
                 e.current_ = leader.current_;
-                e.stats_.counter("thread_exits") += exits;
+                if (exits > 0)
+                    e.stats_.counter("thread_exits") += exits;
                 for (std::size_t tid = 0; tid < startThreads_.size();
                      ++tid) {
                     const ThreadCounters &lead =

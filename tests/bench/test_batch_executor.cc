@@ -8,13 +8,16 @@
  * --no-cache path), and a --trace-out run falls back to per-point
  * replays (the timeline observer is per-point only). Replay units are
  * dispatched longest first (longestFirstOrder). Batched results must
- * stay bit-identical to fresh per-point replays throughout.
+ * stay bit-identical to fresh per-point replays throughout. The
+ * executor's stage ledger times each stage that runs
+ * (host.stage.<stage>_s).
  */
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "bench/executor.h"
 #include "bench/harness.h"
 #include "bench/plan.h"
+#include "bench/result_cache.h"
 #include "obs/metrics.h"
 #include "trace/run_metrics.h"
 #include "trace/synth.h"
@@ -328,6 +332,66 @@ TEST(BatchExecutor, LongestFirstDispatchMatchesSerialReplay)
         EXPECT_TRUE(metricsBitIdentical(pointResult(p), serial))
             << pointConfigKey(p);
     }
+}
+
+/** How many times host stage @p name ("flat", ...) was timed. */
+std::uint64_t
+stageSamples(const char *name)
+{
+    return metrics()
+        .sampleSummary(std::string("host.stage.") + name + "_s")
+        .count;
+}
+
+TEST(StageLedger, ColdRunTimesEveryStageWarmRunSkipsFlatAndReplay)
+{
+    // --metrics-out turns the host samples on; nothing is written
+    // unless benchFinish() runs.
+    const char *argv[] = {"test_batch_executor",
+                          "--metrics-out=unused.json"};
+    ASSERT_TRUE(benchInit(2, argv));
+    const char *const kStages[] = {"capture", "probe", "flat", "replay",
+                                   "store"};
+    std::map<std::string, std::uint64_t> before;
+    for (const char *stage : kStages)
+        before[stage] = stageSamples(stage);
+
+    // Cold: every point misses, so every stage runs once.
+    SynthSpec spec;
+    spec.items = 68;
+    const BehaviorId behavior = BehaviorId::fromSynth(spec);
+    ExperimentPlan cold;
+    for (const int w : {5, 7})
+        cold.add(makePlanPoint(behavior, SchemeKind::NS, w,
+                               SchedPolicy::Fifo));
+    executePlan(cold);
+    for (const char *stage : kStages)
+        EXPECT_EQ(stageSamples(stage), before[stage] + 1) << stage;
+
+    // Warm: results already in the on-disk store, none in process —
+    // only capture and probe run; no arena is touched, nothing
+    // replays or persists.
+    ExperimentPlan warm;
+    for (const int w : {9, 11})
+        warm.add(makePlanPoint(behavior, SchemeKind::NS, w,
+                               SchedPolicy::Fifo));
+    for (const PlanPoint &p : warm.points())
+        ASSERT_TRUE(storeCachedResult(
+            resultCacheKey(pointConfigKey(p),
+                           cachedTraceChecksum(p.behavior)),
+            replayPoint(cachedTrace(p.behavior), p.engine, p.policy)));
+    const std::uint64_t predecodes = counter("flat.predecode");
+    const std::uint64_t attaches = counter("flat.attach");
+    executePlan(warm);
+    const char *reset[] = {"test_batch_executor"};
+    ASSERT_TRUE(benchInit(1, reset));
+
+    EXPECT_EQ(counter("flat.predecode"), predecodes);
+    EXPECT_EQ(counter("flat.attach"), attaches);
+    EXPECT_EQ(stageSamples("capture"), before["capture"] + 2);
+    EXPECT_EQ(stageSamples("probe"), before["probe"] + 2);
+    for (const char *stage : {"flat", "replay", "store"})
+        EXPECT_EQ(stageSamples(stage), before[stage] + 1) << stage;
 }
 
 } // namespace

@@ -10,8 +10,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdlib>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -100,20 +98,11 @@ TEST(ParallelSweep, TaskExceptionRethrownAndSweepReusable)
     }
 }
 
-/** Sample count of host sample @p name in the registry's JSON (0 if
- *  it was never sampled). */
+/** Sample count of host sample @p name (0 if never sampled). */
 std::uint64_t
 hostSampleCount(const std::string &name)
 {
-    std::ostringstream json;
-    metrics().writeJson(json, obs::RunManifest{});
-    const std::string key = "\"" + name + "\": {\"count\": ";
-    const std::string text = json.str();
-    const std::size_t at = text.find(key);
-    return at == std::string::npos
-               ? 0
-               : std::strtoull(text.c_str() + at + key.size(), nullptr,
-                               10);
+    return metrics().sampleSummary(name).count;
 }
 
 TEST(ParallelSweep, EachFanOutPublishesItsOwnWorkerBusyMetric)

@@ -108,13 +108,18 @@ expectSameEngine(const WindowEngine &got, const WindowEngine &want,
     EXPECT_EQ(got.current(), want.current());
     const StatGroup &gs = got.stats();
     const StatGroup &ws = want.stats();
-    // By value: a view touches "thread_exits" on its lanes even when
-    // no thread exits, where the members leave the counter absent.
-    for (const StatGroup *group : {&gs, &ws})
-        for (const auto &entry : group->counters())
-            EXPECT_EQ(gs.counterValue(entry.first),
-                      ws.counterValue(entry.first))
-                << entry.first;
+    // The same counter keys, not just the same values: a lane must
+    // not create a counter (say "thread_exits") the members leave
+    // absent, or StatGroup::dump of the two walks differs.
+    std::vector<std::string> gotKeys, wantKeys;
+    for (const auto &entry : gs.counters())
+        gotKeys.push_back(entry.first);
+    for (const auto &entry : ws.counters())
+        wantKeys.push_back(entry.first);
+    EXPECT_EQ(gotKeys, wantKeys);
+    for (const auto &entry : ws.counters())
+        EXPECT_EQ(gs.counterValue(entry.first), entry.second.value())
+            << entry.first;
     ASSERT_EQ(gs.distributions().size(), ws.distributions().size());
     for (const auto &[name, dist] : ws.distributions()) {
         const Distribution &g = gs.distributions().at(name);

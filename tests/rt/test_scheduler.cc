@@ -40,8 +40,11 @@ TEST(Scheduler, RunsThreadsInSpawnOrder)
 TEST(Scheduler, EngineSeesEverySwitch)
 {
     Runtime rt(makeConfig());
-    for (int i = 0; i < 4; ++i)
-        rt.spawn("t" + std::to_string(i), [] {});
+    for (int i = 0; i < 4; ++i) {
+        std::string name = "t";
+        name += std::to_string(i);
+        rt.spawn(name, [] {});
+    }
     rt.run();
     EXPECT_EQ(rt.engine().stats().counterValue("switches"), 4u);
     EXPECT_EQ(rt.engine().stats().counterValue("thread_exits"), 4u);

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "trace/event_trace.h"
+#include "trace/synth.h"
 
 namespace crw {
 namespace {
@@ -85,6 +86,34 @@ class EventTraceFile : public ::testing::Test
 
     std::string path_;
 };
+
+TEST_F(EventTraceFile, SaveAndLoadReportTheTraceChecksum)
+{
+    // The checksum save computes and load verifies is the one
+    // traceChecksum() would recompute, for a recorded and a generated
+    // trace alike, so a caller never has to hash the trace again.
+    SynthSpec spec = synthBehaviorMenu().front();
+    spec.items = 16;
+    for (const EventTrace &trace :
+         {sampleTrace(), generateSynthTrace(spec)}) {
+        std::uint64_t saved = 0;
+        ASSERT_TRUE(saveTraceFile(trace, path_, nullptr, &saved));
+        EXPECT_EQ(saved, traceChecksum(trace)) << trace.key;
+
+        EventTrace loaded;
+        std::uint64_t verified = 0;
+        ASSERT_TRUE(loadTraceFile(path_, loaded, nullptr, &verified));
+        EXPECT_EQ(verified, traceChecksum(loaded)) << trace.key;
+        EXPECT_EQ(verified, saved) << trace.key;
+    }
+
+    // A failed load leaves the out-parameter alone.
+    writeAll({'x'});
+    EventTrace none;
+    std::uint64_t untouched = 7;
+    EXPECT_FALSE(loadTraceFile(path_, none, nullptr, &untouched));
+    EXPECT_EQ(untouched, 7u);
+}
 
 TEST_F(EventTraceFile, RoundTripIsIdentity)
 {

@@ -9,7 +9,12 @@
  * configuration of the capture run.
  */
 
+#include <cstdio>
+#include <filesystem>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -140,8 +145,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 /**
  * The trace must not depend on the engine configuration of the
- * capture run: capture under two very different configurations and
- * require byte-identical traces (the Kahn-network argument).
+ * capture run: capture under very different configurations — among
+ * them the Infinite scheme captureSpellTrace runs on — and require
+ * byte-identical traces (the Kahn-network argument).
  */
 TEST(CaptureInvariance, TraceIndependentOfCaptureConfiguration)
 {
@@ -157,8 +163,34 @@ TEST(CaptureInvariance, TraceIndependentOfCaptureConfiguration)
                  &recB);
     const EventTrace b = recB.take(0, 0);
 
+    TraceRecorder recC(spellTraceKey(cfg), cfg.seed, cfg.corpusBytes);
+    runSpellLive(SchemeKind::Infinite, 8, SchedPolicy::Fifo, wl, cfg,
+                 &recC);
+    const EventTrace c = recC.take(0, 0);
+
     EXPECT_TRUE(a == b);
+    EXPECT_TRUE(a == c);
     EXPECT_GT(a.eventCount(), 0u);
+}
+
+TEST(CaptureInvariance, SavedCaptureReportsItsChecksum)
+{
+    // The executor memoizes the checksum saveTraceFile reports for a
+    // fresh capture; it must be the captured trace's traceChecksum.
+    std::string name = "crw_test_capture_checksum_";
+    name += std::to_string(::getpid());
+    name += ".trace";
+    const std::string path =
+        (std::filesystem::temp_directory_path() / name).string();
+    std::uint64_t saved = 0;
+    ASSERT_TRUE(saveTraceFile(smallTrace(), path, nullptr, &saved));
+    EventTrace loaded;
+    std::uint64_t verified = 0;
+    const bool ok = loadTraceFile(path, loaded, nullptr, &verified);
+    std::remove(path.c_str());
+    ASSERT_TRUE(ok);
+    EXPECT_EQ(saved, traceChecksum(smallTrace()));
+    EXPECT_EQ(verified, saved);
 }
 
 } // namespace
